@@ -101,14 +101,9 @@ def cmd_solve(args) -> int:
     from .solvers.exact import solve_optimal
 
     inst = _instance(args)
-    engine = args.engine
-    if args.solver_jobs is not None:
-        if engine not in ("par",) and not engine.startswith("par:"):
-            raise SystemExit("--solver-jobs only applies to --engine par")
-        engine = f"par:{args.solver_jobs}"
-    result = solve_optimal(inst, budget=args.budget, engine=engine)
+    result = solve_optimal(inst, budget=args.budget, engine=args.engine)
     print(f"instance : {inst.describe()}")
-    print(f"engine   : {engine}")
+    print(f"engine   : {args.engine}")
     print(f"optimal  : {result.cost}")
     print(f"length   : {result.length} moves")
     print(f"expanded : {result.expanded} states")
@@ -460,9 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("--show-schedule", action="store_true")
     p.add_argument("--engine", default="bits",
-                   help="search engine: bits (default), legacy, numpy, par")
-    p.add_argument("--solver-jobs", type=int, default=None, metavar="W",
-                   help="worker processes for --engine par (default 2)")
+                   help="search engine: bits (default), legacy, numpy")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("greedy", help="greedy pebbling (Section 8 rules)")

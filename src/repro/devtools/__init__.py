@@ -24,8 +24,6 @@ RP006     tier-1 test determinism (seeded randomness, no wall-clock
           reads inside assertions)
 RP007     Pipe/Pool/PipeWorker/sqlite released on every CFG path
 RP008     public solvers/* only raise PebblingError/ValueError
-RP009     no worker-side writes to module-level mutable state
-RP010     pipe message tags: sent <-> handled <-> documented
 RP011     dead/duplicated spec-grammar dispatch branches (autofix)
 RP012     no float literals in integer-scaled kernel cost paths
           (autofix for integral literals)
@@ -68,7 +66,6 @@ from . import (  # noqa: F401  (import-for-registration)
     checks_engines,
     checks_exceptions,
     checks_fork,
-    checks_pipes,
     checks_resources,
     checks_service,
 )

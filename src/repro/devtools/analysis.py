@@ -1,4 +1,4 @@
-"""Dataflow analyses behind the RP007–RP012 rules.
+"""Dataflow analyses behind the RP007, RP008 and RP011 rules.
 
 Everything here is *derived* from the :class:`~repro.devtools.index.RepoIndex`
 a rule pass already holds:
@@ -17,10 +17,7 @@ a rule pass already holds:
 * :func:`exception_propagation` — the fixpoint "which exception types
   can escape this function", with ``try/except`` masking (a handler
   that swallows a type removes it; a handler containing a bare
-  ``raise`` does not);
-* :func:`process_targets` / :func:`worker_side_functions` — the
-  child-process side of a module that spawns workers, the partition
-  RP009/RP010 check.
+  ``raise`` does not).
 
 Deliberate approximations (the rules are linters, not verifiers):
 bindings created by walrus expressions are ignored; a ``return`` under
@@ -61,8 +58,6 @@ __all__ = [
     "exception_ancestors",
     "RaiseSite",
     "exception_propagation",
-    "process_targets",
-    "worker_side_functions",
 ]
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
@@ -831,76 +826,3 @@ def exception_propagation(
                     current[exc] = site
                     changed = True
     return raised
-
-
-# --------------------------------------------------------------------- #
-# worker-side partition of a process-spawning module
-# --------------------------------------------------------------------- #
-
-_PROCESS_CALLS = frozenset({"Process", "spawn_pipe_worker"})
-
-
-def _call_leaf(call: ast.Call) -> str:
-    func = call.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
-
-
-def process_targets(module: ModuleInfo) -> Set[str]:
-    """Function names handed to ``Process(target=)``/``spawn_pipe_worker``."""
-    if module.tree is None:
-        return set()
-    out: Set[str] = set()
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        leaf = _call_leaf(node)
-        if leaf == "Process":
-            for kw in node.keywords:
-                if kw.arg == "target" and isinstance(kw.value, ast.Name):
-                    out.add(kw.value.id)
-        elif leaf == "spawn_pipe_worker":
-            if len(node.args) >= 2 and isinstance(node.args[1], ast.Name):
-                out.add(node.args[1].id)
-    return out
-
-
-def module_functions(module: ModuleInfo) -> Dict[str, FunctionNode]:
-    """Top-level function name -> its def node."""
-    if module.tree is None:
-        return {}
-    return {
-        node.name: node
-        for node in module.tree.body
-        if isinstance(node, _FUNC_TYPES)
-    }
-
-
-def worker_side_functions(module: ModuleInfo) -> Set[str]:
-    """Process targets plus their transitive same-module callees.
-
-    This is the set of top-level functions whose bodies run in a spawned
-    child — the partition RP009 (no shared mutable globals) and RP010
-    (pipe-protocol direction) reason about.
-    """
-    funcs = module_functions(module)
-    calls: Dict[str, Set[str]] = {}
-    for name, node in funcs.items():
-        called: Set[str] = set()
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name):
-                if sub.func.id in funcs:
-                    called.add(sub.func.id)
-        calls[name] = called
-    worker = {name for name in process_targets(module) if name in funcs}
-    frontier = list(worker)
-    while frontier:
-        current = frontier.pop()
-        for callee in calls.get(current, ()):
-            if callee not in worker:
-                worker.add(callee)
-                frontier.append(callee)
-    return worker

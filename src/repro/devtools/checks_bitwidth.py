@@ -1,10 +1,10 @@
 """RP001 — bit-width safety in packed-state modules.
 
 The fast engines pack node sets into fixed-width integer lanes: the
-numpy frontier engine and the parallel shard keys live in ``uint64``
-(the 2n<=64 / 3n<=64 layout assumptions), and the pure-python kernels
-manipulate masks whose width is the DAG's node count.  Three mistakes
-silently corrupt states instead of failing:
+numpy frontier engine lives in ``uint64`` (the 2n<=64 / 3n<=64 layout
+assumptions), and the pure-python kernels manipulate masks whose width
+is the DAG's node count.  Three mistakes silently corrupt states
+instead of failing:
 
 * shifting a *value* by a literal >= 64 (drops bits on any uint64 lane;
   shifting the constant ``1`` stays legal — ``(1 << 64) - 1`` is the
@@ -35,7 +35,6 @@ PACKED_MODULES = frozenset(
         "src/repro/core/bitstate.py",
         "src/repro/solvers/kernel.py",
         "src/repro/solvers/batch_kernel.py",
-        "src/repro/solvers/parallel.py",
         "src/repro/solvers/multilevel.py",
         "src/repro/multilevel/bitgame.py",
     }

@@ -14,7 +14,6 @@ PR 6) says each engine name dispatched there must also appear in
 
 A name present in a mirror but absent from the dispatch is flagged in
 the other direction, so deleting an engine cleans up all four places.
-Parametrized ids (``par:2``) are compared by their family (``par``).
 """
 
 from __future__ import annotations
@@ -42,29 +41,23 @@ ARCHITECTURE_DOC = "docs/architecture.md"
 #: the reference engine — differential tests compare the others to it
 REFERENCE_ENGINE = "bits"
 
-#: table cells like `"legacy"` or `"par"` / `"par:W"` in the docs matrix
-_DOC_ENGINE_RE = re.compile(r'`"(?P<name>[a-z]+)(?::[A-Za-z0-9]+)?"`')
-
-
-def _family(name: str) -> str:
-    """``par:2`` and ``par:W`` collapse to the ``par`` family."""
-    return name.split(":", 1)[0]
+#: table cells like `"legacy"` in the docs matrix
+_DOC_ENGINE_RE = re.compile(r'`"(?P<name>[a-z]+)"`')
 
 
 def _dispatched_engines(index: RepoIndex) -> Optional[Dict[str, int]]:
-    """Engine families ``solve_optimal`` dispatches on, with lines."""
+    """Engines ``solve_optimal`` dispatches on, with lines."""
     module = index.module(EXACT_PATH)
     if module is None or module.tree is None:
         return None
     for node in ast.walk(module.tree):
         if isinstance(node, ast.FunctionDef) and node.name == "solve_optimal":
-            consts = str_constants_compared_to(node, "engine")
-            return {_family(name): line for name, line in consts.items()}
+            return str_constants_compared_to(node, "engine")
     return None
 
 
 def _differential_engines(index: RepoIndex) -> Optional[Set[str]]:
-    """Families in the ``ENGINES = (...)`` tuple of the differential test."""
+    """Names in the ``ENGINES = (...)`` tuple of the differential test."""
     module = index.module(DIFFERENTIAL_PATH)
     if module is None or module.tree is None:
         return None
@@ -77,7 +70,7 @@ def _differential_engines(index: RepoIndex) -> Optional[Set[str]]:
                 continue
             if isinstance(node.value, (ast.Tuple, ast.List)):
                 return {
-                    _family(e.value)
+                    e.value
                     for e in node.value.elts
                     if isinstance(e, ast.Constant) and isinstance(e.value, str)
                 }
@@ -85,7 +78,7 @@ def _differential_engines(index: RepoIndex) -> Optional[Set[str]]:
 
 
 def _golden_engines(index: RepoIndex) -> Optional[Set[str]]:
-    """Families the golden-optima test exercises.
+    """Engines the golden-optima test exercises.
 
     An engine counts as covered when the test either passes
     ``engine="name"`` somewhere, or calls the per-engine entry point
@@ -108,7 +101,7 @@ def _golden_engines(index: RepoIndex) -> Optional[Set[str]]:
                 and isinstance(kw.value.value, str)
             ):
                 engine_kw = kw.value.value
-                covered.add(_family(engine_kw))
+                covered.add(engine_kw)
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else (
             func.id if isinstance(func, ast.Name) else ""
@@ -121,7 +114,7 @@ def _golden_engines(index: RepoIndex) -> Optional[Set[str]]:
 
 
 def _documented_engines(index: RepoIndex) -> Optional[Set[str]]:
-    """Families with a row in the architecture engine-matrix table."""
+    """Engines with a row in the architecture engine-matrix table."""
     doc = index.doc(ARCHITECTURE_DOC)
     if doc is None:
         return None

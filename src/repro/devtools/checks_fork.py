@@ -1,21 +1,18 @@
-"""RP003 — pickling/fork safety of process entry points.
+"""RP003 — pickling safety of process entry points.
 
-The sharded parallel engine and the experiment backends start workers
-with the ``spawn`` context: the target callable is pickled into the
-child.  Lambdas, closures and bound methods pickle only under ``fork``
-(or not at all), so passing one compiles fine, works on Linux dev boxes,
-and dies on spawn-only platforms — the classic "works on my machine"
-of multiprocessing code.  This rule flags, inside ``src/``:
+Under the ``spawn`` start method the target callable of a worker
+process (the experiment backends start theirs through
+``spawn_pipe_worker``) is pickled into the child.  Lambdas, closures
+and bound methods pickle only under ``fork`` (or not at all), so
+passing one compiles fine, works on Linux dev boxes, and dies on
+spawn-only platforms — the classic "works on my machine" of
+multiprocessing code.  This rule flags, inside ``src/``:
 
 * ``ctx.Process(target=...)`` / ``multiprocessing.Process(target=...)``
   / ``spawn_pipe_worker(ctx, target)`` where the target is a lambda, a
   bound method (``self._loop``), or a function defined inside the
   enclosing function (a closure).  A plain name that is a parameter or
   an import is unresolvable statically and passes.
-* ``os.register_at_fork(...)`` called from inside a function — fork
-  hooks accumulate per call, so per-call registration leaks handlers;
-  the repo's convention is one module-scope registration guarded by
-  ``hasattr`` (see ``solvers/parallel.py``).
 """
 
 from __future__ import annotations
@@ -73,15 +70,6 @@ class _ForkVisitor(ast.NodeVisitor):
             if target is not None:
                 self._check_target(target)
 
-        if name.endswith("register_at_fork") and self.stack:
-            self.findings.append(
-                finding(
-                    "RP003", "error", self.module, node,
-                    "os.register_at_fork inside a function: fork hooks "
-                    "accumulate per call; register once at module scope",
-                )
-            )
-
         self.generic_visit(node)
 
     @staticmethod
@@ -131,8 +119,7 @@ class _ForkVisitor(ast.NodeVisitor):
     scope="file",
     description=(
         "process targets must be module-level functions (no lambdas, "
-        "bound methods or closures) and os.register_at_fork must run at "
-        "module scope only"
+        "bound methods or closures)"
     ),
 )
 def check_fork_safety(module: ModuleInfo, index: RepoIndex) -> Iterator[Finding]:

@@ -204,12 +204,7 @@ def _worker_loop(conn: "Connection") -> None:  # pragma: no cover - exercised in
 
 @dataclass
 class PipeWorker:
-    """A worker process plus the parent end of its duplex pipe.
-
-    The spawn/retire pair below is the shared process-pool plumbing: the
-    experiment backend uses it for task workers, and the parallel exact
-    solver (:mod:`repro.solvers.parallel`) uses it for search shards.
-    """
+    """A worker process plus the parent end of its duplex pipe."""
 
     process: multiprocessing.Process
     conn: "multiprocessing.connection.Connection"
@@ -221,28 +216,26 @@ class PipeWorker:
 _Worker = PipeWorker
 
 
+#: serialises :func:`spawn_pipe_worker` across threads (see there)
+_SPAWN_LOCK = threading.Lock()
+
+
 def spawn_pipe_worker(ctx: multiprocessing.context.BaseContext, target: Callable) -> PipeWorker:
     """Start ``target(child_conn)`` as a daemon process with a pipe.
 
-    Daemonic processes normally may not have children, but a solver
-    worker running inside a :class:`MultiprocessingBackend` task worker
-    legitimately needs its own shard processes (``exact:par`` served by
-    the service layer).  The daemon flag is lifted for the duration of
-    the ``start()`` call in that case; the grandchild still cannot
-    outlive its parent unnoticed because it exits on pipe EOF.
+    Spawns are serialised: a fork from another thread that landed between
+    this spawn's pipe creation and the parent closing the child's ends
+    would hand that sibling the write end of this worker's sentinel
+    pipe, and :func:`retire_pipe_worker`'s ``join`` would then wait out
+    its whole timeout for a death the sentinel never signals.
     """
-    parent_conn, child_conn = ctx.Pipe()
-    proc = ctx.Process(target=target, args=(child_conn,), daemon=True)
-    current = multiprocessing.current_process()
-    was_daemon = current.daemon
-    if was_daemon:
-        current._config["daemon"] = False
-    try:
+    with _SPAWN_LOCK:
+        # the child inherits this lock in its held state; that is safe
+        # because pool workers are daemonic and never spawn
+        parent_conn, child_conn = ctx.Pipe()
+        proc = ctx.Process(target=target, args=(child_conn,), daemon=True)
         proc.start()
-    finally:
-        if was_daemon:
-            current._config["daemon"] = True
-    child_conn.close()
+        child_conn.close()
     return PipeWorker(process=proc, conn=parent_conn)
 
 

@@ -31,9 +31,6 @@ name                     behaviour
                          (cross-checking / debugging the kernel)
 ``exact:numpy``          optimal cost via the batched numpy frontier
                          engine (:mod:`repro.solvers.batch_kernel`)
-``exact:par[:W]``        optimal cost via the HDA*-style sharded parallel
-                         A* (:mod:`repro.solvers.parallel`) on W worker
-                         processes (default 2)
 ``idastar``              optimal cost by iterative-deepening A* (the
                          structurally independent second exact solver)
 ``tradeoff-opt``         the provably optimal Figure 3/4 alternating
@@ -645,7 +642,6 @@ _FIXED: Dict[str, MethodFn] = {
     "exact": _run_exact("bits"),
     "exact:legacy": _run_exact("legacy"),
     "exact:numpy": _run_exact("numpy"),
-    "exact:par": _run_exact("par"),
     "idastar": _run_idastar,
     "tradeoff-opt": _run_tradeoff_opt,
     "local-search": _run_local_search(2000),
@@ -685,14 +681,6 @@ def resolve_method(name: str) -> MethodFn:
 
                 hierarchy_from_spec(hier)  # malformed specs must fail fast here
                 return _run_multilevel(sub, hier)
-        if head == "exact" and arg.startswith("par:"):
-            workers = arg[len("par:"):]
-            if not workers.isdigit() or int(workers) < 1:
-                raise ValueError(
-                    f"malformed method {name!r}: exact:par:W needs a "
-                    f"positive integer worker count"
-                )
-            return _run_exact(arg)
         if head == "greedy" and arg in _GREEDY_RULES:
             return _run_greedy(arg)
         if head == "heur":
@@ -722,7 +710,6 @@ def method_names() -> "list[str]":
     return sorted(_FIXED) + [
         "greedy:" + r for r in _GREEDY_RULES
     ] + [
-        "exact:par:W",
         "fixed-order:belady|lru|min-uses|randomN",
         "beam:WIDTH",
         "heur:portfolio:BEAMW",

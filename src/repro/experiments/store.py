@@ -186,7 +186,9 @@ class SQLiteResultStore(ResultStore):
         Database file (parent directories are created), or ``":memory:"``.
     max_rows:
         Optional LRU bound: when an insert pushes the row count above
-        this, the least-recently-*used* rows are evicted.
+        this, the least-recently-*used* rows are evicted.  Recency is
+        tracked only when this is set; an unbounded store writes
+        nothing on a read.
     check_version:
         When True (default), rows whose ``repro_version`` column differs
         from the running package's version are treated as misses — a
@@ -272,11 +274,12 @@ class SQLiteResultStore(ResultStore):
             payload, version = row
             if self.check_version and version != __version__:
                 return None  # written by a different kernel: recompute
-            self._conn.execute(
-                "UPDATE results SET last_used = ? WHERE task_hash = ?",
-                (time.time(), task_hash),
-            )
-            self._conn.commit()
+            if self.max_rows is not None:
+                self._conn.execute(
+                    "UPDATE results SET last_used = ? WHERE task_hash = ?",
+                    (time.time(), task_hash),
+                )
+                self._conn.commit()
         try:
             return RunResult.from_dict(json.loads(payload))
         except (ValueError, KeyError):

@@ -7,12 +7,10 @@ original frozenset search as the reference oracle.
 ``solve_multilevel_optimal`` extends the same packed-state machinery to
 the multi-level game of :mod:`repro.multilevel`.
 
-Alternate engines live behind ``solve_optimal(engine=...)``: the batched
-numpy frontier (:mod:`repro.solvers.batch_kernel`, ``engine="numpy"``)
-and the sharded parallel A* (:mod:`repro.solvers.parallel`,
-``engine="par[:W]"``).  ``astar_batch`` and ``solve_optimal_parallel``
-are re-exported lazily so importing this package never pays for numpy
-or multiprocessing setup.
+An alternate engine lives behind ``solve_optimal(engine=...)``: the
+batched numpy frontier (:mod:`repro.solvers.batch_kernel`,
+``engine="numpy"``).  ``astar_batch`` is re-exported lazily so
+importing this package never pays for numpy.
 """
 
 from .bounds import (
@@ -48,7 +46,6 @@ from .group import (
 
 _LAZY = {
     "astar_batch": ("repro.solvers.batch_kernel", "astar_batch"),
-    "solve_optimal_parallel": ("repro.solvers.parallel", "solve_optimal_parallel"),
 }
 
 
@@ -67,7 +64,6 @@ def __getattr__(name: str) -> object:
 __all__ = [
     "solve_optimal",
     "astar_batch",
-    "solve_optimal_parallel",
     "solve_optimal_legacy",
     "solve_optimal_idastar",
     "solve_multilevel_optimal",

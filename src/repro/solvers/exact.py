@@ -159,11 +159,9 @@ def solve_optimal(
         bit-natively under the default engine).
     engine:
         ``"bits"`` for the shared bitmask kernel (default), ``"legacy"``
-        for the frozenset reference implementation, ``"numpy"`` for the
-        batched frontier engine of :mod:`repro.solvers.batch_kernel`
-        (DAGs up to 64 nodes), or ``"par"`` / ``"par:W"`` for the
-        HDA*-style sharded parallel A* of :mod:`repro.solvers.parallel`
-        on ``W`` worker processes (default 2).
+        for the frozenset reference implementation, or ``"numpy"`` for
+        the batched frontier engine of :mod:`repro.solvers.batch_kernel`
+        (DAGs up to 64 nodes).
 
     Notes
     -----
@@ -187,24 +185,6 @@ def solve_optimal(
             return_schedule=return_schedule,
             heuristic=heuristic,
         )
-    elif engine == "par" or engine.startswith("par:"):
-        from .parallel import solve_optimal_parallel
-
-        _, _, arg = engine.partition(":")
-        try:
-            jobs = int(arg) if arg else 2
-        except ValueError:
-            raise ValueError(
-                f"malformed parallel engine {engine!r}; expected 'par' or "
-                f"'par:W' with an integer worker count"
-            ) from None
-        return solve_optimal_parallel(
-            instance,
-            jobs=jobs,
-            budget=budget,
-            return_schedule=return_schedule,
-            heuristic=heuristic,
-        )
     elif engine == "bits":
         result = kernel.astar_bits(
             instance,
@@ -216,7 +196,7 @@ def solve_optimal(
         raise ValueError(
             f"unknown engine {engine!r}; valid engines: 'bits' (default "
             f"bitmask kernel), 'legacy' (frozenset reference), 'numpy' "
-            f"(batched frontier), 'par'/'par:W' (sharded parallel A*)"
+            f"(batched frontier)"
         )
     return OptimalResult(
         result.cost,

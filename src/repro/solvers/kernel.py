@@ -93,12 +93,11 @@ class Expander:
     """Precomputed per-instance search context — the engine-agnostic seam.
 
     Every exact engine (the python A*/IDA* strategies here, the numpy
-    batch engine of :mod:`repro.solvers.batch_kernel`, the sharded
-    parallel A* of :mod:`repro.solvers.parallel`) builds one of these and
-    reads the same scaled integer costs, precomputed masks, normalized
-    successor alphabet and move decoding from it, so "what the game is"
-    is defined in exactly one place and the engines differ only in *how*
-    they traverse it.
+    batch engine of :mod:`repro.solvers.batch_kernel`) builds one of
+    these and reads the same scaled integer costs, precomputed masks,
+    normalized successor alphabet and move decoding from it, so "what
+    the game is" is defined in exactly one place and the engines differ
+    only in *how* they traverse it.
     """
 
     __slots__ = (
@@ -149,17 +148,6 @@ class Expander:
 
     def unscale(self, g: int) -> Fraction:
         return Fraction(g, self.scale)
-
-    def pack_key(self, red: int, blue: int, computed: int) -> int:
-        """One integer key for the open/closed dictionaries of a search."""
-        n = self.n
-        return (red << (2 * n)) | (blue << n) | computed
-
-    def unpack_key(self, key: int) -> Tuple[int, int, int]:
-        """Inverse of :meth:`pack_key`."""
-        n = self.n
-        mask = self.full_mask
-        return (key >> (2 * n)) & mask, (key >> n) & mask, key & mask
 
     def is_goal(self, red: int, blue: int) -> bool:
         """Every sink carries a pebble of either colour."""

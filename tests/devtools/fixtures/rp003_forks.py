@@ -1,7 +1,5 @@
 """Known-violation fixture for RP003 (devtools: src)."""
 
-import os
-
 
 def _loop(conn):
     conn.close()
@@ -16,7 +14,6 @@ class Worker:
             return None
 
         nested = ctx.Process(target=helper)  # RP003: closure
-        os.register_at_fork(after_in_child=helper)  # RP003: not module scope
         return bound, anon, nested
 
     def _run(self):

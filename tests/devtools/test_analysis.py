@@ -1,10 +1,9 @@
-"""Unit tests for the dataflow layer behind RP007-RP012.
+"""Unit tests for the dataflow layer behind RP007, RP008 and RP011.
 
 Covers the statement-level CFG (branching, loops, abrupt exits,
 try/finally routing), reaching definitions / use-def chains, the
-repo-wide call graph with import resolution, the exception-propagation
-fixpoint with try/except masking, and the worker-side partition of a
-process-spawning module.
+repo-wide call graph with import resolution, and the
+exception-propagation fixpoint with try/except masking.
 """
 
 import ast
@@ -20,10 +19,8 @@ from repro.devtools.analysis import (
     class_hierarchy,
     exception_ancestors,
     exception_propagation,
-    process_targets,
     reaching_definitions,
     use_def,
-    worker_side_functions,
 )
 
 
@@ -367,35 +364,3 @@ def test_exception_propagation(mini_index):
     # methods raise too
     assert set(raised[f"{util}::Gadget.run"]) == {"TimeoutError"}
     assert set(raised[f"{main}::builds"]) == {"OverflowError"}
-
-
-# --------------------------------------------------------------------- #
-# worker-side partition
-# --------------------------------------------------------------------- #
-
-
-def test_worker_side_functions(tmp_path):
-    (tmp_path / "mod.py").write_text(textwrap.dedent("""
-        import multiprocessing as mp
-
-
-        def _leaf(x):
-            return x
-
-
-        def _worker(conn):
-            _leaf(conn.recv())
-
-
-        def _parent_only():
-            return _leaf(1)
-
-
-        def start(ctx):
-            return mp.Process(target=_worker, args=(ctx,))
-    """), encoding="utf-8")
-    index = RepoIndex(tmp_path, paths=["mod.py"])
-    module = index.module("mod.py")
-    assert process_targets(module) == {"_worker"}
-    # the transitive callee _leaf joins the worker side; start stays parent
-    assert worker_side_functions(module) == {"_worker", "_leaf"}

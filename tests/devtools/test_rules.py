@@ -42,12 +42,11 @@ def test_rp001_fires_on_packed_fixture():
 
 def test_rp003_fires_on_fork_fixture():
     found = _findings(FIXTURES, "RP003", paths=["rp003_forks.py"])
-    assert len(found) == 5
+    assert len(found) == 4
     messages = " | ".join(f.message for f in found)
     assert "lambda as process target" in messages
     assert "bound attribute" in messages
     assert "nested function" in messages
-    assert "register_at_fork inside a function" in messages
 
 
 def test_rp006_fires_on_flaky_fixture():
@@ -71,16 +70,6 @@ def test_rp007_fires_on_leak_fixture():
     assert "Pipe(...)" in messages
     assert "Pool(...)" in messages
     assert "clean_" not in messages
-
-
-def test_rp009_fires_on_shared_state_fixture():
-    found = _findings(FIXTURES, "RP009", paths=["rp009_shared.py"])
-    assert len(found) == 2
-    messages = " | ".join(f.message for f in found)
-    assert "_record() writes module-level mutable '_RESULTS'" in messages
-    assert "_worker_loop() writes module-level mutable '_LIMITS'" in messages
-    # the parent-side registry write is legal
-    assert "_PARENT_REGISTRY" not in messages
 
 
 def test_rp011_fires_on_duplicate_dispatch_fixture():
@@ -155,27 +144,6 @@ def test_rp008_fires_on_contract_tree():
     assert "SolverError" not in messages
 
 
-def test_rp010_fires_on_protocol_drift_tree():
-    found = _findings(FIXTURES / "rp010_protocol", "RP010")
-    messages = [f.message for f in found]
-    assert any("sends pipe tag 'oops' that the router side never handles" in m
-               for m in messages)
-    assert any("sends pipe tag 'warp' that the worker side never handles" in m
-               for m in messages)
-    assert any("handles pipe tag 'trace' that no worker ever sends" in m
-               for m in messages)
-    assert any("pipe tag 'oops' (worker → parent) is not documented" in m
-               for m in messages)
-    assert any("pipe tag 'warp' (parent → worker) is not documented" in m
-               for m in messages)
-    assert any("documented pipe tag 'retired'" in m and "stale" in m
-               for m in messages)
-    assert len(found) == 6
-    # the in-sync tags stay silent
-    assert not any("'solve'" in m or "'bound'" in m or "'status'" in m
-                   for m in messages)
-
-
 # --------------------------------------------------------------------- #
 # the repository itself is clean — the CI gate's contract
 # --------------------------------------------------------------------- #
@@ -223,7 +191,7 @@ def test_select_and_ignore():
 
 def test_rule_catalogue_shape():
     rules = all_rules()
-    assert [r.id for r in rules] == [f"RP{i:03d}" for i in range(13)]
+    assert [r.id for r in rules] == [f"RP{i:03d}" for i in (*range(9), 11, 12)]
     for r in rules:
         assert r.severity in ("error", "warning")
         assert r.scope in ("file", "repo")

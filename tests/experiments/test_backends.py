@@ -1,5 +1,8 @@
 """Execution backends: inline/pool equivalence, persistence, isolation."""
 
+import multiprocessing
+import os
+import sys
 import threading
 
 import pytest
@@ -10,6 +13,7 @@ from repro.experiments import (
     TaskSpec,
     backend_for_jobs,
 )
+from repro.experiments.backends import retire_pipe_worker, spawn_pipe_worker
 
 
 def task_for(dag="chain:3", method="baseline", **kw):
@@ -132,6 +136,73 @@ class TestMultiprocessingBackend:
     def test_jobs_validation(self):
         with pytest.raises(ValueError):
             MultiprocessingBackend(jobs=0)
+
+
+def _block(conn):
+    """Worker stand-in: wait on the pipe until terminated."""
+    try:
+        conn.recv()
+    except EOFError:
+        pass
+
+
+def _pipes_open_for_writing(pid):
+    """``pipe:[inode]`` names of the pipes ``pid`` holds open for writing."""
+    pipes = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+            with open(f"/proc/{pid}/fdinfo/{fd}") as fh:
+                flags = next(int(line.split()[1], 8) for line in fh
+                             if line.startswith("flags:"))
+        except FileNotFoundError:
+            continue  # closed while we looked
+        if target.startswith("pipe:") and flags & os.O_ACCMODE != os.O_RDONLY:
+            pipes.add(target)
+    return pipes
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the fd tables under /proc")
+def test_concurrent_spawns_leak_no_sentinel_write_ends():
+    """A worker forked during another thread's spawn must not inherit
+    that worker's sentinel write end: while any sibling holds it, the
+    sentinel never signals the death, and retirement's join times out."""
+    ctx = multiprocessing.get_context()
+
+    def spawn(barrier, mine):
+        barrier.wait()
+        for _ in range(4):
+            mine.append(spawn_pipe_worker(ctx, _block))
+
+    for _ in range(3):
+        barrier = threading.Barrier(2)
+        spawned = [[], []]
+        threads = [threading.Thread(target=spawn, args=(barrier, mine))
+                   for mine in spawned]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        workers = spawned[0] + spawned[1]
+        try:
+            assert not any(t.is_alive() for t in threads)
+            sentinels = {
+                w.process.pid: f"pipe:[{os.fstat(w.process.sentinel).st_ino}]"
+                for w in workers
+            }
+            held = {pid: _pipes_open_for_writing(pid) for pid in sentinels}
+            holders = [
+                (pid, owner)
+                for pid, pipes in held.items()
+                for owner, pipe in sentinels.items()
+                if owner != pid and pipe in pipes
+            ]
+        finally:
+            for w in workers:
+                retire_pipe_worker(w)
+        assert holders == []
+        assert not any(w.process.is_alive() for w in workers)
 
 
 class TestBackendForJobs:

@@ -94,6 +94,17 @@ class TestSQLiteStore:
         assert store.get(tasks[2]) is not None
         store.close()
 
+    def test_hit_on_unbounded_store_writes_nothing(self, tmp_path):
+        # recency only feeds max_rows eviction, so without a bound a hit
+        # must not update last_used (or commit)
+        store = SQLiteResultStore(tmp_path / "s.sqlite")
+        task = task_for()
+        store.put(result_for(task))
+        before = store._conn.total_changes
+        assert store.get(task) is not None
+        assert store._conn.total_changes == before
+        store.close()
+
     def test_stale_version_row_not_served(self, tmp_path):
         """A row written by an older repro version is never served fresh."""
         path = tmp_path / "s.sqlite"

@@ -44,8 +44,9 @@ class TestBeamSearch:
 
     def test_wide_beam_reaches_optimum_on_grid(self):
         inst = make(grid_stencil_dag(4, 4), 3)
-        opt = solve_optimal(inst, return_schedule=False).cost
-        assert beam_search_pebble(inst, beam_width=16).cost == opt
+        # the optimum is pinned as GOLDEN_LARGE's grid:4x4/oneshot/R3
+        # entry in tests/solvers/test_golden_optima.py
+        assert beam_search_pebble(inst, beam_width=16).cost == 12
 
     def test_wider_beams_never_hurt_on_test_family(self):
         inst = make(grid_stencil_dag(4, 4), 3)

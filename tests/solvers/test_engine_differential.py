@@ -21,7 +21,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import ComputationDAG, PebblingInstance, validate_schedule
+from repro import (
+    BudgetExceededError,
+    ComputationDAG,
+    PebblingInstance,
+    validate_schedule,
+)
 from repro.gadgets import h2c_dag
 from repro.generators import dag_from_spec
 from repro.solvers import solve_optimal
@@ -30,9 +35,9 @@ MODELS = ("base", "oneshot", "nodel", "compcost")
 
 #: engines under differential test; the reference "bits" engine is
 #: implicit.  Add one id here to give a new engine full coverage.
-ENGINES = ("legacy", "numpy", "par:2")
+ENGINES = ("legacy", "numpy")
 
-#: the batch/parallel engines amortize over large frontiers and the
+#: the batch engine amortizes over large frontiers and the
 #: reference runs twice per example, so the example budget is modest;
 #: the gadget zoo below covers the structured cases deterministically.
 DIFF_SETTINGS = dict(
@@ -130,6 +135,12 @@ class TestEngineDifferential:
     def test_gadget_zoo(self, engine, spec, model, red_limit):
         assert_engine_matches(engine, _gadget_instance(spec, model, red_limit))
 
+    def test_budget_exhaustion_raises(self, engine):
+        """Every engine stops at the expansion budget instead of running on."""
+        inst = _gadget_instance("pyramid:3", "base", 3)
+        with pytest.raises(BudgetExceededError):
+            solve_optimal(inst, budget=10, engine=engine)
+
 
 def test_engines_list_is_nonempty_and_excludes_reference():
     """Guard the harness itself: bits must stay the implicit reference."""
@@ -139,13 +150,14 @@ def test_engines_list_is_nonempty_and_excludes_reference():
 
 def test_unknown_engine_raises_with_catalogue():
     inst = _gadget_instance("pyramid:3", "base", 3)
-    with pytest.raises(ValueError, match=r"unknown engine 'typo'.*bits.*legacy.*numpy.*par"):
-        solve_optimal(inst, engine="typo")
+    for engine in ("typo", "par"):
+        with pytest.raises(ValueError, match=rf"unknown engine '{engine}'.*bits.*legacy.*numpy"):
+            solve_optimal(inst, engine=engine)
 
 
 def test_zero_cost_optimum_agrees_across_engines():
     """Zero-cost schedules (free computes) exercise the Dial zero-bucket
-    refill and the parallel incumbent-at-zero path."""
+    refill."""
     inst = _gadget_instance("chain:8", "base", 2)
     costs = {e: solve_optimal(inst, engine=e).cost for e in ENGINES}
     assert set(costs.values()) == {Fraction(0)}

@@ -7,13 +7,17 @@ gadget, H2C).  Every entry is asserted against
 
 * the bitmask kernel (``solve_optimal``, the default engine),
 * the legacy reference (``solve_optimal_legacy``),
-* iterative-deepening A* (``solve_optimal_idastar``),
-* the batched numpy frontier engine (``engine="numpy"``), and
-* the sharded parallel A* (``engine="par:2"``),
+* iterative-deepening A* (``solve_optimal_idastar``), and
+* the batched numpy frontier engine (``engine="numpy"``),
 
 so any kernel bug — dominance pruning, cost scaling, successor
 generation — shows up as a *value diff* against a committed constant, not
 just as a cross-check failure that could in principle be a shared bug.
+
+The pinned optima also serve as certified reference points for the
+non-exact code: every Section 3 bound (the Table 2 range, the
+constructive topological baseline, a truncated kernel search) must
+bracket them, and no greedy rule may undercut them.
 
 Costs are compared as exact :class:`fractions.Fraction` values parsed
 from the pinned strings (byte-identical across engines by construction:
@@ -33,10 +37,16 @@ from repro.generators import (
     grid_stencil_dag,
     pyramid_dag,
 )
+from repro.heuristics import GreedyRule, greedy_pebble, topological_schedule
 from repro.solvers import (
     solve_optimal,
     solve_optimal_idastar,
     solve_optimal_legacy,
+)
+from repro.solvers.bounds import (
+    exhaustive_cost_bounds,
+    trivial_lower_bound,
+    upper_bound_naive,
 )
 
 
@@ -107,6 +117,8 @@ GOLDEN_LARGE = [
     ("pyramid:4", "nodel", 5, "12"),
     ("grid:4x4", "oneshot", 4, "4"),
     ("grid:4x4", "nodel", 4, "16"),
+    # pinned for test_beam_search.py's wide-beam optimum check
+    ("grid:4x4", "oneshot", 3, "12"),
 ]
 
 _IDS = [f"{d}-{m}-R{r}" for d, m, r, _ in GOLDEN]
@@ -165,18 +177,36 @@ class TestGoldenOptima:
         assert report.ok, report.violations[:3]
         assert report.cost == result.cost
 
-    def test_parallel_engine_matches_golden(
+    def test_section3_bounds_bracket_golden(
         self, dags, dag_name, model, red_limit, expected
     ):
+        dag = dags[dag_name]
+        inst = PebblingInstance(dag=dag, model=model, red_limit=red_limit)
+        optimum = Fraction(expected)
+        eps = inst.epsilon
+        assert trivial_lower_bound(dag, model, red_limit, epsilon=eps) <= optimum
+        # the baseline realises the (2*Delta+1)*n upper end constructively
+        baseline = validate_schedule(inst, topological_schedule(inst))
+        assert baseline.ok, baseline.violations[:3]
+        assert optimum <= baseline.cost <= upper_bound_naive(dag, model, epsilon=eps)
+        # a search cut off after a few expansions still brackets the optimum
+        lower, upper = exhaustive_cost_bounds(inst, node_budget=10)
+        assert lower <= optimum <= upper
+
+    def test_greedy_rules_never_beat_golden(
+        self, dags, dag_name, model, red_limit, expected
+    ):
+        """A heuristic schedule below a certified optimum means its cost
+        accounting is wrong, not that it found something better."""
         inst = PebblingInstance(
             dag=dags[dag_name], model=model, red_limit=red_limit
         )
-        # schedules are audited per engine in test_engine_differential;
-        # here the point is the pinned value on every golden instance
-        cost = solve_optimal(
-            inst, engine="par:2", return_schedule=False
-        ).cost
-        assert cost == Fraction(expected)
+        for rule in GreedyRule:
+            result = greedy_pebble(inst, rule)
+            report = validate_schedule(inst, result.schedule)
+            assert report.ok, (rule, report.violations[:3])
+            assert report.cost == result.cost, rule
+            assert result.cost >= Fraction(expected), rule
 
 
 @pytest.mark.parametrize(

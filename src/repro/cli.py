@@ -101,7 +101,10 @@ def cmd_solve(args) -> int:
     from .solvers.exact import solve_optimal
 
     inst = _instance(args)
-    result = solve_optimal(inst, budget=args.budget, engine=args.engine)
+    try:
+        result = solve_optimal(inst, budget=args.budget, engine=args.engine)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     print(f"instance : {inst.describe()}")
     print(f"engine   : {args.engine}")
     print(f"optimal  : {result.cost}")

@@ -839,6 +839,50 @@ def _check_engines_smoke(results: List[RunResult]) -> None:
         )
 
 
+@register_check("multilevel-smoke")
+def _check_multilevel_smoke(results: List[RunResult]) -> None:
+    """ml:exact on the default 2-level hierarchy is the base-model
+    optimum, and no exact multi-level cell costs more than its parking
+    baseline twin."""
+    _assert_all_ok(results)
+    for exact in _cells(results, method="exact"):
+        ml = _cell(
+            results, method="ml:exact", dag=exact.dag, model=exact.model,
+            red_limit=exact.red_limit,
+        )
+        assert ml.cost_fraction == exact.cost_fraction, (
+            f"{exact.dag}/R={exact.red_limit}: ml:exact returned {ml.cost}, "
+            f"exact returned {exact.cost}"
+        )
+    for ml in results:
+        if not ml.method.startswith("ml:exact"):
+            continue
+        twin = "ml:topo" + ml.method[len("ml:exact"):]
+        topo = _cell(
+            results, method=twin, dag=ml.dag, model=ml.model,
+            red_limit=ml.red_limit,
+        )
+        assert ml.cost_fraction <= topo.cost_fraction, (
+            f"{ml.dag}/R={ml.red_limit}: {ml.method} returned {ml.cost}, "
+            f"above {twin}'s {topo.cost}"
+        )
+
+
+@register_check("tradeoff-exact")
+def _check_tradeoff_exact(results: List[RunResult]) -> None:
+    """The exact optimum equals the paper's closed form at every R."""
+    _assert_all_ok(results)
+    for exact in _cells(results, method="exact"):
+        closed = _cell(
+            results, method="tradeoff-opt", dag=exact.dag, model=exact.model,
+            red_limit=exact.red_limit,
+        )
+        assert exact.cost_fraction == closed.cost_fraction, (
+            f"{exact.dag}/R={exact.red_limit}: exact returned {exact.cost}, "
+            f"the closed form gives {closed.cost}"
+        )
+
+
 def _portfolio_members(r: RunResult) -> Dict[str, Fraction]:
     """The per-member costs a ``heur:portfolio`` cell reports in extra."""
     return {

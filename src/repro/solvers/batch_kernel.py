@@ -1,7 +1,7 @@
 """Batched numpy frontier engine: expand B packed states per step.
 
 The bitmask kernel (:mod:`repro.solvers.kernel`) already made a state
-three integers, but it still expands one state per python-level loop
+one packed integer, but it still expands one state per python-level loop
 iteration — every pop pays interpreter overhead for the bit scan, the
 tuple allocations and the per-successor heap push.  This module applies
 the data-parallel idiom of DaPPA/SpaDA-style frontier processing to the
@@ -21,18 +21,15 @@ stage as vectorized bitwise operations:
 * **delete-normalized successors**: the fused ``Delete(x); move``
   alphabet of the kernel docstring, vectorized over the batch for each
   deleted bit ``x`` — the state graph searched is identical to the
-  python kernel's, which is what makes differential testing meaningful;
-* **batched dominance filtering**: popped batches run through the same
-  rule as the python kernel's
-  :class:`~repro.solvers.kernel.DominanceTable` (grouped by
-  ``(blue, computed)``, red-superset at no worse cost) — vectorized as
-  a ``searchsorted`` join against a sorted store when ``2n <= 64``,
-  falling back to the shared python table otherwise.
+  python kernel's, which is what makes differential testing meaningful.
 
 Exactness is preserved end to end: masks are uint64 (DAGs up to 64
 nodes — beyond that the arbitrary-precision ``bits`` engine takes over),
-costs are the kernel's scaled integers, and the closed/best-``g``
-dictionaries are keyed by exact packed keys, never by lossy hashes.
+costs are the kernel's scaled integers, and the closed/best-``g`` stores
+are keyed by exact packed keys, never by lossy hashes.  When ``3n <= 64``
+a whole state packs into one ``uint64`` and the store is the sorted
+arrays of :class:`_GStore`; wider layouts (21 < n <= 64) key python
+dictionaries by ``(red, blue, computed)`` tuples.
 
 The pure-python kernel stays authoritative: ``engine="bits"`` remains
 the default of :func:`repro.solvers.exact.solve_optimal`, and the
@@ -55,9 +52,8 @@ except ImportError as exc:  # pragma: no cover - numpy is a dependency
 from ..core.bitstate import iter_bits
 from ..core.errors import BudgetExceededError, SolverError
 from ..core.instance import PebblingInstance
-from ..core.moves import Move
 from . import kernel
-from .kernel import DominanceTable, Expander, KernelResult
+from .kernel import Expander, KernelResult, trace_codes
 
 __all__ = [
     "astar_batch",
@@ -84,64 +80,6 @@ def popcount_u64(a: "np.ndarray") -> "np.ndarray":
     a = (a & _M2) + ((a >> _U64(2)) & _M2)
     a = (a + (a >> _U64(4))) & _M4
     return (a * _H01) >> _U64(56)
-
-
-class _VectorDominance:
-    """Vectorized red-superset dominance for layouts with ``2n <= 64``.
-
-    Same rule as :class:`~repro.solvers.kernel.DominanceTable` — a state
-    is pruned when a recorded state with the same ``(blue, computed)``
-    bucket holds a red superset at no worse cost — but the store is a
-    set of flat arrays sorted by bucket key, so a whole popped batch is
-    checked with one ``searchsorted`` join instead of per-state python
-    scans.  Unlike the python table, batch-mates are not checked against
-    each other (they are admitted together), which can only admit *more*
-    states — a lost prune, never a lost solution.
-    """
-
-    __slots__ = ("shift", "bk", "red", "g")
-
-    def __init__(self, n: int) -> None:
-        self.shift = _U64(n)
-        self.bk = np.empty(0, dtype=_U64)
-        self.red = np.empty(0, dtype=_U64)
-        self.g = np.empty(0, dtype=np.int64)
-
-    def filter_batch(
-        self,
-        red: "np.ndarray",
-        blue: "np.ndarray",
-        computed: "np.ndarray",
-        g: "np.ndarray",
-    ) -> "np.ndarray":
-        """Boolean keep-mask over the batch; admitted states are recorded."""
-        bk = (blue << self.shift) | computed
-        m = len(bk)
-        keep = np.ones(m, dtype=bool)
-        if len(self.bk):
-            lo = np.searchsorted(self.bk, bk, side="left")
-            hi = np.searchsorted(self.bk, bk, side="right")
-            counts = hi - lo
-            total = int(counts.sum())
-            if total:
-                fci = np.repeat(np.arange(m, dtype=np.int64), counts)
-                # flat store index: each row i scans self.bk[lo[i]:hi[i]]
-                fsi = np.arange(total, dtype=np.int64) + np.repeat(
-                    lo - (np.cumsum(counts) - counts), counts
-                )
-                dom = (self.g[fsi] <= g[fci]) & (
-                    (red[fci] & ~self.red[fsi]) == 0
-                )
-                keep[fci[dom]] = False
-        if keep.any():
-            self.bk = np.concatenate([self.bk, bk[keep]])
-            self.red = np.concatenate([self.red, red[keep]])
-            self.g = np.concatenate([self.g, g[keep]])
-            order = np.argsort(self.bk, kind="stable")
-            self.bk = self.bk[order]
-            self.red = self.red[order]
-            self.g = self.g[order]
-        return keep
 
 
 class _GStore:
@@ -273,10 +211,11 @@ def _compile_batch_heuristic(ctx: _BatchContext, heuristic: object) -> Optional[
     if compiler is not None:
         return compiler(ctx)
     scalar = kernel._compile_heuristic(ctx.ex, heuristic)
+    n = ctx.n
 
     def h(red: "np.ndarray", blue: "np.ndarray", computed: "np.ndarray") -> "np.ndarray":
         values = [
-            scalar(r, b, c)
+            scalar((r << 2 * n) | (b << n) | c)
             for r, b, c in zip(red.tolist(), blue.tolist(), computed.tolist())
         ]
         return np.array(values, dtype=np.int64)
@@ -437,20 +376,20 @@ def astar_batch(
     budget: int = 2_000_000,
     return_schedule: bool = True,
     heuristic: object = None,
-    dominance: bool = True,
     max_batch: int = 4096,
     on_exhausted: str = "raise",
 ) -> KernelResult:
     """Optimal pebbling cost by batched best-first search over state arrays.
 
     Same contract as :func:`repro.solvers.kernel.astar_bits` — same edge
-    alphabet, same dominance rule, same budget/exhaustion semantics —
-    with expansion proceeding a frontier batch (up to ``max_batch``
-    states of minimal ``f``) at a time.  Expansion *order* within one
-    cost level differs from the python kernel's heap tie-breaking, so
-    ``expanded``/``generated`` counters are comparable but not identical
-    across engines.
+    alphabet, same budget/exhaustion semantics — with expansion
+    proceeding a frontier batch (up to ``max_batch`` states of minimal
+    ``f``) at a time.  Expansion *order* within one cost level differs
+    from the python kernel's heap tie-breaking, so ``expanded`` /
+    ``generated`` counters are comparable but not identical across
+    engines.
     """
+    kernel.check_on_exhausted(on_exhausted)
     ex = Expander(instance)
     if ex.sink_mask == 0:  # empty DAG (or no sinks): already complete
         from fractions import Fraction
@@ -485,23 +424,9 @@ def astar_batch(
         closed = set()
         best_g = {start_key: 0}
     parents: Dict[object, tuple] = {}
-    if 2 * ctx.n <= 64:
-        tt: object = _VectorDominance(ctx.n)
-    else:
-        tt = DominanceTable(ctx.n)
-    use_dominance = dominance and ex.dominance_safe
     expanded = 0
     generated = 0
     sink_mask = ctx.sink_mask
-
-    def reconstruct(goal_key: object) -> List[Move]:
-        codes = []
-        k = goal_key
-        while k in parents:
-            k, code = parents[k]
-            codes.append(code)
-        codes.reverse()
-        return ex.decode_moves(codes)
 
     while fheap:
         f = fheap[0]
@@ -562,44 +487,12 @@ def astar_batch(
         if len(goal):
             i = int(goal[0])
             goal_key = int(karr[i]) if fast else keys[i]
-            moves = reconstruct(goal_key) if return_schedule else None
+            moves = None
+            if return_schedule:
+                moves = ex.decode_moves(trace_codes(parents, goal_key))
             return KernelResult(
                 ex.unscale(int(g[i])), moves, expanded, generated
             )
-
-        if use_dominance:
-            if isinstance(tt, _VectorDominance):
-                mask = tt.filter_batch(red, blue, computed, g)
-                if not mask.all():
-                    if not mask.any():
-                        continue
-                    idx = np.nonzero(mask)[0]
-                    red, blue, computed, g = (
-                        red[idx], blue[idx], computed[idx], g[idx]
-                    )
-                    if fast:
-                        karr = karr[idx]
-                    else:
-                        keys = [keys[i] for i in idx.tolist()]
-            else:
-                reds, blues = red.tolist(), blue.tolist()
-                comps, gs = computed.tolist(), g.tolist()
-                keep = [
-                    i
-                    for i in range(len(reds))
-                    if tt.admit(reds[i], blues[i], comps[i], gs[i])
-                ]
-                if not keep:
-                    continue
-                if len(keep) != len(reds):
-                    idx = np.array(keep, dtype=np.int64)
-                    red, blue, computed, g = (
-                        red[idx], blue[idx], computed[idx], g[idx]
-                    )
-                    if fast:
-                        karr = karr[idx]
-                    else:
-                        keys = [keys[i] for i in keep]
 
         if expanded + len(red) > budget:
             if on_exhausted == "bound":

@@ -8,16 +8,20 @@ and PSPACE-complete in base [Demaine & Liu] — so this solver is the
 *ground-truth oracle for small instances* that every other component is
 calibrated against.
 
-Two engines implement the same contract:
+Three engines implement the same contract:
 
 * ``engine="bits"`` (default): the shared bitmask kernel of
-  :mod:`repro.solvers.kernel` — integer states, integer costs, and a
-  dominance-pruning transposition table.  This is what raised the
-  feasible instance sizes; see ``tests/benchmarks/test_perf.py``.
+  :mod:`repro.solvers.kernel` — one packed int per state, integer costs,
+  delete-normalized successors and the one best-first driver every
+  packed-key game shares.  This is what raised the feasible instance
+  sizes; see ``tests/benchmarks/test_perf.py``.
+* ``engine="numpy"``: the batched frontier engine of
+  :mod:`repro.solvers.batch_kernel` over the same edge alphabet, for
+  DAGs of up to 64 nodes.
 * ``engine="legacy"``: the original frozenset-based search over
   :class:`~repro.core.state.PebblingState`, kept verbatim as the slow
   reference implementation.  The golden-optima suite
-  (``tests/solvers/test_golden_optima.py``) pins that both engines return
+  (``tests/solvers/test_golden_optima.py``) pins that the engines return
   identical optima on classic instances.
 
 Safe prunes applied (all cost-preserving, see the test-suite):
@@ -25,10 +29,7 @@ Safe prunes applied (all cost-preserving, see the test-suite):
 * blue pebbles are never deleted (a blue pebble occupies no red slot and
   never blocks a move, so removing it can only destroy options);
 * zero-cost moves are explored first through the priority queue ordering,
-  which keeps the frontier small on gadget DAGs;
-* (bits engine) dominance: a popped state is skipped when a settled state
-  with the same blue/computed sets, a red superset, and no worse cost
-  exists — see the safety argument in :mod:`repro.solvers.kernel`.
+  which keeps the frontier small on gadget DAGs.
 
 For the base model, optimal pebblings may be superpolynomially long
 (Section 4) but never *cheaper* than shorter ones below any fixed budget;
@@ -109,23 +110,25 @@ def compcost_heuristic(state: PebblingState, instance: PebblingInstance) -> Frac
     return eps * missing
 
 
-def _compile_compcost(ex: "kernel.Expander") -> Callable[[int, int, int], int]:
-    """Bit-native form of :func:`compcost_heuristic` for the kernel."""
+def _compile_compcost(ex: "kernel.Expander") -> Callable[[int], int]:
+    """Bit-native form of :func:`compcost_heuristic` over packed keys."""
     layout = ex.layout
+    n = ex.n
     compute_i = ex.compute_i
     nonsource_mask = layout.full_mask & ~layout.source_mask
     sink_bits = tuple(iter_bits(layout.sink_mask))
     closures = tuple(layout.ancestor_closure_of_sink(s) for s in sink_bits)
 
-    def h(red: int, blue: int, computed: int) -> int:
+    def h(key: int) -> int:
         if compute_i == 0:
             return 0
-        pebbled = red | blue
+        # bit s of red | blue; the low n bits of key are the computed mask
+        pebbled = (key >> n) | (key >> 2 * n)
         needed = 0
         for s, closure in zip(sink_bits, closures):
             if not pebbled >> s & 1:
                 needed |= closure
-        return compute_i * (needed & ~computed & nonsource_mask).bit_count()
+        return compute_i * (needed & ~key & nonsource_mask).bit_count()
 
     return h
 

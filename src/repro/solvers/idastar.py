@@ -10,10 +10,12 @@ have to be mirrored in the other to go unnoticed.
 Both solvers now run on the shared bitmask kernel
 (:mod:`repro.solvers.kernel`): this module contributes the deepening
 *strategy* (:func:`repro.solvers.kernel.idastar_bits`), while state
-encoding, cost scaling and successor generation are the kernel's.  The
-strategies stay independent where it matters — IDA* uses no priority
-queue, no global closed set, and no dominance table, so a bug in any of
-those A*-side structures cannot leak into this solver.
+encoding, cost scaling and successor generation — the expander's
+``successors(key)`` over packed int keys — are the kernel's.  The
+strategies stay independent where it matters — IDA* uses neither the
+priority queue nor the global closed set of the kernel's best-first
+driver, so a bug in either A*-side structure cannot leak into this
+solver.
 
 Implementation notes: zero-cost moves (computes/deletes) are common, so a
 naive IDA* would loop within a threshold.  Each deepening iteration

@@ -6,8 +6,9 @@ search; every expansion allocated three frozensets and re-hashed them.
 The kernel replaces all of that with one implementation operating on the
 :mod:`repro.core.bitstate` encoding:
 
-* a state is ``(red, blue, computed)`` — three ints — packed into a single
-  integer key for the open/closed dictionaries;
+* a state is one packed int ``red << 2n | blue << n | computed``, the
+  key of the open/closed dictionaries and the value successors are
+  computed from;
 * move costs are scaled to exact integers (by the LCM of the cost
   denominators), so priority-queue keys are plain ints, not Fractions;
 * successor generation is inlined bit arithmetic: a node is computable iff
@@ -19,32 +20,28 @@ The kernel replaces all of that with one implementation operating on the
   node; a Delete(x) later answered by a recompute of x cancels against
   it; trailing deletes drop).  The kernel therefore searches over this
   normal form: standalone Delete edges disappear and full boards expand
-  *fused* ``Delete(x); Load/Compute(v)`` successors instead.  This both
-  shrinks the state graph and is what makes dominance sound;
-* a *transposition table with dominance pruning*: a popped state is skipped
-  when an already-settled state with the same blue and computed masks, a
-  strict superset of its red pebbles, and no worse cost exists.
+  *fused* ``Delete(x); Load/Compute(v)`` successors instead, which
+  shrinks the state graph.
 
-Dominance is cost-preserving in every model of the paper.  With equal
-``blue`` and ``computed`` masks, a dominating state T ⊇ S mirrors any
-normalized continuation of S move-for-move: while T carries surplus red
-pebbles it is at capacity whenever S is, so where S plays a plain move T
-plays the same move (or, at capacity, the fused variant deleting a
-surplus pebble — free, since Delete costs 0 in every delete-allowed
-model of Table 1), and the invariant "same blue, same computed, red
-superset" is maintained to completion.  Equal computed masks mean the
-oneshot restriction cannot distinguish the two continuations.  Crucially,
-the mirrored continuation never passes through the dominated state
-itself, so the pruning cannot sever its own justification.  In nodel,
-pebbles are never removed, so ``(blue, computed)`` already determines
-``red`` and the check degenerates to exact duplicate detection.  For
-custom cost models with a nonzero delete price the pruning disables
-itself (the mirrored continuation would pay extra deletes).
+**One best-first loop.**  :func:`best_first` is the A* driver of every
+game searched over packed int keys.  It owns the heap of ``(f, tiebreak,
+g, key)``, the closed set, ``best_g``, the parent map, the budget exit
+and the parent-chain walk (:func:`trace_codes`), and it asks a game's
+expander for four things:
 
-Two search strategies share the expander: :func:`astar_bits`
-(uniform-cost / A*, the default engine of ``solve_optimal``) and
-:func:`idastar_bits` (iterative-deepening, the structurally different
-cross-check behind ``solve_optimal_idastar``).
+* ``successors(key)`` yielding ``(nkey, cost_i, code)`` per normalized
+  edge, ``cost_i`` in scaled integer units;
+* ``is_goal(key)``;
+* ``decode_moves(codes)``, turning the walked move codes into moves;
+* ``unscale(g)``, turning a scaled cost back into a Fraction.
+
+The start state is the empty board, key 0, in every game.  :class:`Expander`
+is the red-blue game and ``_MLExpander`` of :mod:`repro.solvers.multilevel`
+the multi-level one.  :func:`astar_bits` (uniform-cost / A*, the default
+engine of ``solve_optimal``) is a thin front-end over the driver, and
+:func:`idastar_bits` (iterative deepening, the structurally different
+cross-check behind ``solve_optimal_idastar``) reads the same
+``successors``.
 """
 
 from __future__ import annotations
@@ -53,9 +50,9 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from ..core.bitstate import BitLayout, BitState, bit_layout, iter_bits
+from ..core.bitstate import BitState, bit_layout
 from ..core.errors import BudgetExceededError, SolverError
 from ..core.instance import PebblingInstance
 from ..core.moves import MOVE_KINDS, Delete, Move
@@ -64,7 +61,7 @@ from ..core.schedule import Schedule
 __all__ = [
     "KernelResult",
     "Expander",
-    "DominanceTable",
+    "best_first",
     "astar_bits",
     "idastar_bits",
     "register_bit_heuristic",
@@ -77,13 +74,13 @@ _LOAD, _STORE, _COMPUTE, _DELETE = 0, 1, 2, 3
 class KernelResult(NamedTuple):
     """What a kernel search reports back to the solver front-ends.
 
-    ``complete`` is False only for ``astar_bits(on_exhausted="bound")``
-    results where the budget ran out: ``cost`` is then a lower bound on
-    the optimum, not the optimum itself.
+    ``complete`` is False only for ``on_exhausted="bound"`` results where
+    the budget ran out: ``cost`` is then a lower bound on the optimum,
+    not the optimum itself.
     """
 
     cost: Fraction
-    moves: Optional[List[Move]]
+    moves: Optional[List[Any]]
     expanded: int
     generated: int
     complete: bool = True
@@ -112,7 +109,6 @@ class Expander:
         "delete_i",
         "recompute_allowed",
         "delete_allowed",
-        "dominance_safe",
         "parent_masks",
         "full_mask",
         "sink_mask",
@@ -137,11 +133,6 @@ class Expander:
         self.delete_i = int(costs.delete_cost * self.scale)
         self.recompute_allowed = costs.recompute_allowed
         self.delete_allowed = costs.delete_allowed
-        # red-superset dominance needs free deletes to shed surplus pebbles;
-        # in nodel (blue, computed) determines red, so it is trivially safe.
-        self.dominance_safe = (
-            not costs.delete_allowed or costs.delete_cost == 0
-        )
         self.parent_masks = self.layout.parent_masks
         self.full_mask = self.layout.full_mask
         self.sink_mask = self.layout.sink_mask
@@ -149,14 +140,12 @@ class Expander:
     def unscale(self, g: int) -> Fraction:
         return Fraction(g, self.scale)
 
-    def is_goal(self, red: int, blue: int) -> bool:
+    def is_goal(self, key: int) -> bool:
         """Every sink carries a pebble of either colour."""
-        return self.sink_mask & ~(red | blue) == 0
+        return self.sink_mask & ~((key >> self.n) | (key >> 2 * self.n)) == 0
 
-    def successors(
-        self, red: int, blue: int, computed: int
-    ) -> Iterator[Tuple[int, int, int, int, int]]:
-        """Yield ``(nred, nblue, ncomputed, cost_i, move_code)`` per edge.
+    def successors(self, key: int) -> Iterator[Tuple[int, int, int]]:
+        """Yield ``(nkey, cost_i, move_code)`` per edge out of ``key``.
 
         Edges follow the delete-normalized move alphabet (see the module
         docstring): plain Load/Store/Compute moves below capacity, plus —
@@ -166,24 +155,27 @@ class Expander:
         :meth:`decode_moves`).
         """
         n = self.n
+        n2 = 2 * n
+        full = self.full_mask
+        red = key >> n2
         has_slot = red.bit_count() < self.red_limit
         parent_masks = self.parent_masks
         load_i = self.load_i
         compute_i = self.compute_i
         if self.recompute_allowed:
-            candidates = self.full_mask & ~red
+            candidates = full & ~red
         else:
-            candidates = self.full_mask & ~computed
+            candidates = full & ~key
 
+        # Load(v): v turns blue -> red; Compute(v): v turns red and
+        # computed, losing any blue pebble; Store(v): v turns red -> blue
         if has_slot:
-            m = blue
+            m = (key >> n) & full
             while m:
                 low = m & -m
                 m ^= low
                 yield (
-                    red | low,
-                    blue ^ low,
-                    computed,
+                    (key | (low << n2)) ^ (low << n),
                     load_i,
                     _LOAD * n + low.bit_length() - 1,
                 )
@@ -194,9 +186,7 @@ class Expander:
                 i = low.bit_length() - 1
                 if parent_masks[i] & ~red == 0:
                     yield (
-                        red | low,
-                        blue & ~low,
-                        computed | low,
+                        (key | (low << n2) | low) & ~(low << n),
                         compute_i,
                         _COMPUTE * n + i,
                     )
@@ -205,6 +195,7 @@ class Expander:
             fused = 4 * n
             del_load_i = self.delete_i + load_i
             del_compute_i = self.delete_i + compute_i
+            blue = (key >> n) & full
             mx = red
             while mx:
                 lowx = mx & -mx
@@ -212,14 +203,13 @@ class Expander:
                 x = lowx.bit_length() - 1
                 base = fused * (x + 1)
                 red_x = red ^ lowx
+                key_x = key ^ (lowx << n2)
                 m = blue
                 while m:
                     low = m & -m
                     m ^= low
                     yield (
-                        red_x | low,
-                        blue ^ low,
-                        computed,
+                        (key_x | (low << n2)) ^ (low << n),
                         del_load_i,
                         base + _LOAD * n + low.bit_length() - 1,
                     )
@@ -230,9 +220,7 @@ class Expander:
                     i = low.bit_length() - 1
                     if parent_masks[i] & ~red_x == 0:
                         yield (
-                            red_x | low,
-                            blue & ~low,
-                            computed | low,
+                            (key_x | (low << n2) | low) & ~(low << n),
                             del_compute_i,
                             base + _COMPUTE * n + i,
                         )
@@ -243,9 +231,7 @@ class Expander:
             low = m & -m
             m ^= low
             yield (
-                red ^ low,
-                blue | low,
-                computed,
+                (key ^ (low << n2)) | (low << n),
                 store_i,
                 _STORE * n + low.bit_length() - 1,
             )
@@ -263,42 +249,6 @@ class Expander:
         return moves
 
 
-#: backwards-compatible private alias (pre-seam name)
-_Expander = Expander
-
-
-class DominanceTable:
-    """Red-superset dominance bookkeeping, shared by every engine.
-
-    States are bucketed by ``(blue << n) | computed``; a state is
-    *dominated* — and should be pruned instead of expanded — when the
-    bucket already holds an entry with a red superset at no worse cost.
-    Soundness only needs the recorded ``(red, g)`` pairs to be
-    *realizable* (some path reaches that state at that cost), which every
-    engine guarantees by admitting states as it expands them; see the
-    module docstring for the mirroring argument.
-    """
-
-    __slots__ = ("n", "_buckets")
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self._buckets: Dict[int, List[Tuple[int, int]]] = {}
-
-    def admit(self, red: int, blue: int, computed: int, g: int) -> bool:
-        """Record the state unless dominated; True means "expand it"."""
-        bucket_key = (blue << self.n) | computed
-        bucket = self._buckets.get(bucket_key)
-        if bucket is None:
-            self._buckets[bucket_key] = [(red, g)]
-            return True
-        for r2, g2 in bucket:
-            if g2 <= g and red & ~r2 == 0:
-                return False
-        bucket.append((red, g))
-        return True
-
-
 # ---------------------------------------------------------------------- #
 # heuristics
 # ---------------------------------------------------------------------- #
@@ -306,28 +256,28 @@ class DominanceTable:
 #: compilers turning a PebblingState-level heuristic into a bit-native one;
 #: populated via register_bit_heuristic (repro.solvers.exact registers the
 #: compcost heuristic at import time).
-_BIT_HEURISTICS: Dict[object, Callable[[Expander], Callable[[int, int, int], int]]] = {}
+_BIT_HEURISTICS: Dict[object, Callable[[Expander], Callable[[int], int]]] = {}
 
 
 def register_bit_heuristic(
     heuristic: object,
-    compiler: Callable[[Expander], Callable[[int, int, int], int]],
+    compiler: Callable[[Expander], Callable[[int], int]],
 ) -> None:
     """Register a bit-native compiler for a PebblingState-level heuristic.
 
-    ``compiler(expander)`` must return ``h(red, blue, computed) -> int`` in
-    the expander's *scaled* integer cost units.  Heuristics without a
-    registered compiler still work: the kernel decodes each state and calls
-    them on :class:`PebblingState` (exact, but slow — the scaled value is
-    floored, which preserves admissibility and consistency because all
-    edge costs are integral in scaled units).
+    ``compiler(expander)`` must return ``h(key) -> int`` over the packed
+    state key, in the expander's *scaled* integer cost units.  Heuristics
+    without a registered compiler still work: the kernel decodes each
+    state and calls them on :class:`PebblingState` (exact, but slow — the
+    scaled value is floored, which preserves admissibility and
+    consistency because all edge costs are integral in scaled units).
     """
     _BIT_HEURISTICS[heuristic] = compiler
 
 
 def _compile_heuristic(
     expander: Expander, heuristic: object
-) -> Optional[Callable[[int, int, int], int]]:
+) -> Optional[Callable[[int], int]]:
     if heuristic is None:
         return None
     compiler = _BIT_HEURISTICS.get(heuristic)
@@ -337,9 +287,11 @@ def _compile_heuristic(
     layout = expander.layout
     instance = expander.instance
     scale = expander.scale
+    n, full = expander.n, expander.full_mask
 
-    def h(red: int, blue: int, computed: int) -> int:
-        state = layout.decode_state(BitState(red, blue, computed))
+    def h(key: int) -> int:
+        bits = BitState(key >> 2 * n, (key >> n) & full, key & full)
+        state = layout.decode_state(bits)
         value = Fraction(heuristic(state, instance)) * scale
         return value.numerator // value.denominator
 
@@ -347,76 +299,70 @@ def _compile_heuristic(
 
 
 # ---------------------------------------------------------------------- #
-# A* / uniform-cost search
+# the best-first driver
 # ---------------------------------------------------------------------- #
 
 
-def astar_bits(
-    instance: PebblingInstance,
+def trace_codes(parents: Dict[Any, Tuple[Any, int]], key: Any) -> List[int]:
+    """The move codes along the parent chain from the start to ``key``."""
+    codes = []
+    while key in parents:
+        key, code = parents[key]
+        codes.append(code)
+    codes.reverse()
+    return codes
+
+
+def check_on_exhausted(mode: str) -> None:
+    """Reject an unknown budget-exhaustion mode before any search runs."""
+    if mode not in ("raise", "bound"):
+        raise ValueError(
+            f"unknown on_exhausted mode {mode!r}; expected 'raise' or 'bound'"
+        )
+
+
+def best_first(
+    ex: Any,
+    h: Optional[Callable[[int], int]],
     *,
-    budget: int = 2_000_000,
-    return_schedule: bool = True,
-    heuristic: object = None,
-    dominance: bool = True,
-    on_exhausted: str = "raise",
+    budget: int,
+    return_schedule: bool,
+    on_exhausted: str,
 ) -> KernelResult:
-    """Optimal pebbling cost by best-first search over bitmask states.
+    """Best-first search from key 0 over ``ex``'s packed-key state graph.
 
-    ``heuristic`` takes the public ``(PebblingState, instance)`` signature;
-    registered heuristics run bit-natively (see
-    :func:`register_bit_heuristic`).  ``on_exhausted`` controls behaviour
-    when ``budget`` expansions are reached: ``"raise"`` (default) raises
-    :class:`BudgetExceededError`; ``"bound"`` returns a *lower bound* on
-    the optimum — the smallest f-value still open — as a partial
-    :class:`KernelResult` with ``moves=None`` (used by
-    :func:`repro.solvers.bounds.exhaustive_cost_bounds`).
+    Uniform-cost search when ``h`` is None, A* under the consistent
+    heuristic ``h(key)`` otherwise.  States are closed at their first
+    pop, which is optimal because every ``cost_i`` is non-negative.
+    ``on_exhausted`` controls behaviour when ``budget`` expansions are
+    reached: ``"raise"`` raises :class:`BudgetExceededError`; ``"bound"``
+    returns a *lower bound* on the optimum — the smallest f-value still
+    open — with ``moves=None`` and ``complete=False``.
     """
-    ex = Expander(instance)
-    n = ex.n
-    shift2 = 2 * n
-
-    start_red, start_blue, start_computed = 0, 0, 0
-    if ex.sink_mask == 0:  # empty DAG (or no sinks): already complete
-        return KernelResult(Fraction(0), [] if return_schedule else None, 0, 0)
-
-    h = _compile_heuristic(ex, heuristic)
-    h0 = h(start_red, start_blue, start_computed) if h else 0
-    start_key = 0
+    check_on_exhausted(on_exhausted)
+    successors = ex.successors
+    is_goal = ex.is_goal
     counter = itertools.count()
-    # heap entries: (f, tiebreak, g, red, blue, computed)
-    frontier: List[Tuple[int, int, int, int, int, int]] = [
-        (h0, next(counter), 0, start_red, start_blue, start_computed)
+    frontier: List[Tuple[int, int, int, int]] = [
+        (h(0) if h else 0, next(counter), 0, 0)
     ]
-    best_g: Dict[int, int] = {start_key: 0}
+    best_g: Dict[int, int] = {0: 0}
     parents: Dict[int, Tuple[int, int]] = {}
     closed = set()
-    tt = DominanceTable(n)
-    sink_mask = ex.sink_mask
     expanded = 0
     generated = 0
-    use_dominance = dominance and ex.dominance_safe
 
     while frontier:
-        f, _, g, red, blue, computed = heapq.heappop(frontier)
-        key = (red << shift2) | (blue << n) | computed
+        f, _, g, key = heapq.heappop(frontier)
         if key in closed:
             continue
         closed.add(key)
 
-        if sink_mask & ~(red | blue) == 0:
+        if is_goal(key):
             moves = None
             if return_schedule:
-                codes = []
-                k = key
-                while k in parents:
-                    k, code = parents[k]
-                    codes.append(code)
-                codes.reverse()
-                moves = ex.decode_moves(codes)
+                moves = ex.decode_moves(trace_codes(parents, key))
             return KernelResult(ex.unscale(g), moves, expanded, generated)
-
-        if use_dominance and not tt.admit(red, blue, computed, g):
-            continue
 
         expanded += 1
         if expanded > budget:
@@ -431,10 +377,7 @@ def astar_bits(
                 )
             raise BudgetExceededError(budget)
 
-        for nred, nblue, ncomputed, cost_i, code in ex.successors(
-            red, blue, computed
-        ):
-            nkey = (nred << shift2) | (nblue << n) | ncomputed
+        for nkey, cost_i, code in successors(key):
             if nkey in closed:
                 continue
             ng = g + cost_i
@@ -443,15 +386,41 @@ def astar_bits(
                 best_g[nkey] = ng
                 if return_schedule:
                     parents[nkey] = (key, code)
-                nh = h(nred, nblue, ncomputed) if h else 0
                 heapq.heappush(
-                    frontier, (ng + nh, next(counter), ng, nred, nblue, ncomputed)
+                    frontier,
+                    (ng + h(nkey) if h else ng, next(counter), ng, nkey),
                 )
                 generated += 1
 
     raise SolverError(
         "search space exhausted without reaching a complete state "
         "(this should be impossible for a feasible instance)"
+    )
+
+
+def astar_bits(
+    instance: PebblingInstance,
+    *,
+    budget: int = 2_000_000,
+    return_schedule: bool = True,
+    heuristic: object = None,
+    on_exhausted: str = "raise",
+) -> KernelResult:
+    """Optimal pebbling cost by best-first search over bitmask states.
+
+    ``heuristic`` takes the public ``(PebblingState, instance)`` signature;
+    registered heuristics run bit-natively (see
+    :func:`register_bit_heuristic`).  ``on_exhausted`` is ``"raise"``
+    (default) or ``"bound"``, as in :func:`best_first`; the bound mode
+    serves :func:`repro.solvers.bounds.exhaustive_cost_bounds`.
+    """
+    ex = Expander(instance)
+    return best_first(
+        ex,
+        _compile_heuristic(ex, heuristic),
+        budget=budget,
+        return_schedule=return_schedule,
+        on_exhausted=on_exhausted,
     )
 
 
@@ -470,22 +439,16 @@ def idastar_bits(
 ) -> KernelResult:
     """Optimal pebbling by iterative threshold deepening over bitmask states.
 
-    Structurally different from :func:`astar_bits` (bounded DFS sweeps with
+    Structurally different from :func:`best_first` (bounded DFS sweeps with
     a per-iteration ``best_g`` memo instead of a global priority queue), so
     the two can cross-check each other; shares the expander, encoding and
-    cost scaling.  Dominance pruning is not applied here — DFS g-values are
-    not settled when first seen, so the table's premise does not hold.
+    cost scaling.
     """
     ex = Expander(instance)
-    n = ex.n
-    shift2 = 2 * n
-
-    if ex.sink_mask == 0:
-        return KernelResult(Fraction(0), [] if return_schedule else None, 0, 0)
-
+    successors = ex.successors
+    is_goal = ex.is_goal
     h = _compile_heuristic(ex, heuristic)
-    threshold = h(0, 0, 0) if h else 0
-    sink_mask = ex.sink_mask
+    threshold = h(0) if h else 0
     expanded_total = 0
     generated_total = 0
 
@@ -493,33 +456,28 @@ def idastar_bits(
         best_g: Dict[int, int] = {0: 0}
         parents: Dict[int, Tuple[int, int]] = {}
         next_threshold: Optional[int] = None
-        # explicit stack: (red, blue, computed, g)
-        stack: List[Tuple[int, int, int, int]] = [(0, 0, 0, 0)]
+        # explicit stack: (key, g)
+        stack: List[Tuple[int, int]] = [(0, 0)]
         goal: Optional[Tuple[int, int]] = None  # (key, g)
 
         while stack:
-            red, blue, computed, g = stack.pop()
-            key = (red << shift2) | (blue << n) | computed
+            key, g = stack.pop()
             if g > best_g.get(key, g):
                 continue  # a cheaper path to this state was found later
-            if sink_mask & ~(red | blue) == 0:
+            if is_goal(key):
                 if goal is None or g < goal[1]:
                     goal = (key, g)
                 continue
             expanded_total += 1
             if expanded_total > budget:
                 raise BudgetExceededError(budget)
-            for nred, nblue, ncomputed, cost_i, code in ex.successors(
-                red, blue, computed
-            ):
+            for nkey, cost_i, code in successors(key):
                 ng = g + cost_i
-                nh = h(nred, nblue, ncomputed) if h else 0
-                f = ng + nh
+                f = ng + h(nkey) if h else ng
                 if f > threshold:
                     if next_threshold is None or f < next_threshold:
                         next_threshold = f
                     continue
-                nkey = (nred << shift2) | (nblue << n) | ncomputed
                 old = best_g.get(nkey)
                 if old is not None and old <= ng:
                     continue
@@ -527,7 +485,7 @@ def idastar_bits(
                 if return_schedule:
                     parents[nkey] = (key, code)
                 generated_total += 1
-                stack.append((nred, nblue, ncomputed, ng))
+                stack.append((nkey, ng))
 
         if goal is not None:
             # all routes with f <= threshold were explored exhaustively and
@@ -536,13 +494,7 @@ def idastar_bits(
             if next_threshold is None or goal[1] <= next_threshold:
                 moves = None
                 if return_schedule:
-                    codes = []
-                    k = goal[0]
-                    while k in parents:
-                        k, code = parents[k]
-                        codes.append(code)
-                    codes.reverse()
-                    moves = ex.decode_moves(codes)
+                    moves = ex.decode_moves(trace_codes(parents, goal[0]))
                 return KernelResult(
                     ex.unscale(goal[1]), moves, expanded_total, generated_total
                 )

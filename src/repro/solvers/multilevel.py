@@ -3,12 +3,13 @@
 The multi-level analogue of :mod:`repro.solvers.kernel`: best-first
 search (Dijkstra, or A* under the built-in sink-count heuristic when
 computation is priced) over the packed per-level bitmask states of
-:mod:`repro.multilevel.bitgame`.  The kernel's three load-bearing ideas
-carry over:
+:mod:`repro.multilevel.bitgame`.  The game is an expander for the
+kernel's one driver, :func:`~repro.solvers.kernel.best_first`, and the
+kernel's load-bearing ideas carry over:
 
 * **packed integer states** — a board is one mask per level; the L masks
-  concatenate into a single int key ``sum(mask_i << (i*n))`` for the
-  open/closed dictionaries, so hashing and equality are integer ops;
+  concatenate into a single int key ``sum(mask_i << (i*n))``, which is
+  both the dictionary key and what successors are computed from;
 * **integer-scaled costs** — transfer and compute costs are scaled by
   the LCM of their denominators, so priority-queue keys are plain ints,
   not Fractions, and accumulation is exact;
@@ -24,22 +25,6 @@ carry over:
   ``Delete(x at target level); move`` successors when it is full —
   standalone Delete edges disappear from the state graph.
 
-**Dominance across levels.**  A popped state is skipped when a settled
-state with *identical masks on levels 1..L-1*, a superset of its level-0
-pebbles, and no worse cost exists.  Soundness mirrors the red-blue
-argument (level 0 plays the role of red): the dominating state T mirrors
-any normalized continuation of the dominated S move-for-move.  Surplus
-level-0 pebbles of T are, by the invariant, nowhere in S, so whenever a
-mirrored move is blocked by level-0 capacity T first deletes a surplus
-pebble — free, and never one of the inputs the move needs, since those
-sit in S's level 0 and are therefore not surplus.  If S computes a value
-T already holds at level 0, T skips the (non-negatively priced) compute.
-Moves among levels 1..L-1 touch identical masks and mirror directly.
-The invariant is maintained to completion, so T finishes at most as
-expensively.  Restricting the bucket to *equal* deeper levels is what
-keeps the argument airtight: a mid-level superset could not shed its
-surplus without destroying values S still holds.
-
 :func:`multilevel_cost_bounds` brackets instances too large to finish:
 a truncated search gives the lower end (the smallest f-value still open)
 and the :func:`~repro.multilevel.strategies.multilevel_topological_schedule`
@@ -48,21 +33,19 @@ baseline prices the upper end.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..core.bitstate import bit_layout
-from ..core.errors import BudgetExceededError, SolverError
 from ..multilevel.game import (
     MLCompute,
     MLDelete,
     MLMove,
     MultilevelInstance,
 )
+from .kernel import best_first
 
 __all__ = [
     "MultilevelOptimalResult",
@@ -102,7 +85,7 @@ class MultilevelOptimalResult:
 
 
 class _MLExpander:
-    """Precomputed per-instance search context (the kernel's _Expander twin)."""
+    """The multi-level game as an expander for the kernel's driver."""
 
     __slots__ = (
         "instance",
@@ -117,6 +100,7 @@ class _MLExpander:
         "full_mask",
         "sink_mask",
         "fused",
+        "spread",
     )
 
     def __init__(self, instance: MultilevelInstance) -> None:
@@ -137,32 +121,36 @@ class _MLExpander:
         # move codes: Compute(v) = v; Move(v, to) = n + v*L + to; a fused
         # Delete(x); <plain> adds fused*(x+1) on top (see decode_moves)
         self.fused = self.n + self.n * self.levels
+        # bit v of every level at once: (1 << v) * spread
+        self.spread = sum(1 << (i * self.n) for i in range(self.levels))
 
     def unscale(self, g: int) -> Fraction:
         return Fraction(g, self.scale)
 
-    def pack(self, masks: Tuple[int, ...]) -> int:
-        n = self.n
-        key = 0
-        for i, m in enumerate(masks):
-            key |= m << (i * n)
-        return key
+    def unpebbled_sinks(self, key: int) -> int:
+        pebbled = 0
+        for i in range(self.levels):
+            pebbled |= key >> (i * self.n)
+        return self.sink_mask & ~pebbled
 
-    def successors(
-        self, masks: Tuple[int, ...]
-    ) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
-        """Yield ``(new_masks, cost_i, move_code)`` per normalized edge."""
+    def is_goal(self, key: int) -> bool:
+        return self.unpebbled_sinks(key) == 0
+
+    def successors(self, key: int) -> Iterator[Tuple[int, int, int]]:
+        """Yield ``(nkey, cost_i, move_code)`` per normalized edge."""
         n = self.n
         levels = self.levels
         caps = self.caps
         fused = self.fused
+        full = self.full_mask
         parent_masks = self.parent_masks
-        level0 = masks[0]
+        level0 = key & full
         compute_i = self.compute_i
+        spread = self.spread
 
         # -- computes: parents all at level 0, v itself not there ------- #
         computable = []
-        m = self.full_mask & ~level0
+        m = full & ~level0
         while m:
             low = m & -m
             m ^= low
@@ -171,23 +159,21 @@ class _MLExpander:
                 computable.append((i, low))
         if level0.bit_count() < caps[0]:
             for i, low in computable:
-                new = [mk & ~low for mk in masks]
-                new[0] = level0 | low
-                yield tuple(new), compute_i, i
+                yield (key & ~(low * spread)) | low, compute_i, i
         else:
             # full fastest level: fused Delete(x at level 0); Compute(v),
             # where x is not one of v's inputs
             for i, low in computable:
+                cleared = key & ~(low * spread)
                 mx = level0 & ~parent_masks[i]
                 while mx:
                     lowx = mx & -mx
                     mx ^= lowx
                     x = lowx.bit_length() - 1
-                    new = [mk & ~low for mk in masks]
-                    new[0] = (level0 ^ lowx) | low
-                    yield tuple(new), compute_i, fused * (x + 1) + i
+                    yield (cleared ^ lowx) | low, compute_i, fused * (x + 1) + i
 
         # -- level moves (and their fused variants at full targets) ---- #
+        masks = [(key >> (j * n)) & full for j in range(levels)]
         for j in range(levels):
             mj = masks[j]
             if not mj:
@@ -197,16 +183,18 @@ class _MLExpander:
                     continue
                 cost = self.transfer_i[min(j, to)]
                 cap_to = caps[to]
+                at_to = to * n
                 if cap_to is None or masks[to].bit_count() < cap_to:
                     m = mj
                     while m:
                         low = m & -m
                         m ^= low
                         i = low.bit_length() - 1
-                        new = list(masks)
-                        new[j] ^= low
-                        new[to] |= low
-                        yield tuple(new), cost, n + i * levels + to
+                        yield (
+                            (key ^ (low << j * n)) | (low << at_to),
+                            cost,
+                            n + i * levels + to,
+                        )
                 else:
                     target = masks[to]
                     m = mj
@@ -215,15 +203,17 @@ class _MLExpander:
                         m ^= low
                         i = low.bit_length() - 1
                         code = n + i * levels + to
+                        moved = key ^ (low << j * n)
                         mx = target
                         while mx:
                             lowx = mx & -mx
                             mx ^= lowx
                             x = lowx.bit_length() - 1
-                            new = list(masks)
-                            new[j] ^= low
-                            new[to] = (target ^ lowx) | low
-                            yield tuple(new), cost, fused * (x + 1) + code
+                            yield (
+                                (moved ^ (lowx << at_to)) | (low << at_to),
+                                cost,
+                                fused * (x + 1) + code,
+                            )
 
     def decode_moves(self, codes: List[int]) -> List:
         nodes = self.layout.nodes
@@ -248,7 +238,6 @@ def solve_multilevel_optimal(
     *,
     budget: int = 2_000_000,
     return_schedule: bool = True,
-    dominance: bool = True,
     on_exhausted: str = "raise",
 ) -> MultilevelOptimalResult:
     """Optimal multi-level pebbling cost by best-first search.
@@ -265,113 +254,21 @@ def solve_multilevel_optimal(
     ``moves=None`` and ``complete=False`` — the building block of
     :func:`multilevel_cost_bounds`.
     """
-    if on_exhausted not in ("raise", "bound"):
-        raise ValueError(
-            f"unknown on_exhausted mode {on_exhausted!r}; "
-            f"expected 'raise' or 'bound'"
-        )
     ex = _MLExpander(instance)
-    sink_mask = ex.sink_mask
-    if sink_mask == 0:  # empty DAG: already complete
-        return MultilevelOptimalResult(
-            Fraction(0), [] if return_schedule else None, 0, 0
-        )
-
     compute_i = ex.compute_i
-    n = ex.n
+    unpebbled_sinks = ex.unpebbled_sinks
 
-    def h(masks: Tuple[int, ...]) -> int:
-        if not compute_i:
-            return 0
-        pebbled = 0
-        for m in masks:
-            pebbled |= m
-        return compute_i * (sink_mask & ~pebbled).bit_count()
+    def h(key: int) -> int:
+        return compute_i * unpebbled_sinks(key).bit_count()
 
-    start = (0,) * ex.levels
-    counter = itertools.count()
-    # heap entries: (f, tiebreak, g, masks)
-    frontier: List[Tuple[int, int, int, Tuple[int, ...]]] = [
-        (h(start), next(counter), 0, start)
-    ]
-    best_g: Dict[int, int] = {0: 0}
-    parents: Dict[int, Tuple[int, int]] = {}
-    closed = set()
-    # dominance table: packed(levels 1..L-1) -> [(level0_mask, g), ...]
-    tt: Dict[int, List[Tuple[int, int]]] = {}
-    expanded = 0
-    generated = 0
-
-    while frontier:
-        f, _, g, masks = heapq.heappop(frontier)
-        key = ex.pack(masks)
-        if key in closed:
-            continue
-        closed.add(key)
-
-        pebbled = 0
-        for m in masks:
-            pebbled |= m
-        if sink_mask & ~pebbled == 0:
-            moves = None
-            if return_schedule:
-                codes = []
-                k = key
-                while k in parents:
-                    k, code = parents[k]
-                    codes.append(code)
-                codes.reverse()
-                moves = ex.decode_moves(codes)
-            return MultilevelOptimalResult(ex.unscale(g), moves, expanded, generated)
-
-        if dominance:
-            bucket_key = key >> n  # levels 1..L-1, packed
-            bucket = tt.get(bucket_key)
-            if bucket is not None:
-                level0 = masks[0]
-                dominated = False
-                for r2, g2 in bucket:
-                    if g2 <= g and level0 & ~r2 == 0:
-                        dominated = True
-                        break
-                if dominated:
-                    continue
-                bucket.append((level0, g))
-            else:
-                tt[bucket_key] = [(masks[0], g)]
-
-        expanded += 1
-        if expanded > budget:
-            if on_exhausted == "bound":
-                open_f = min((e[0] for e in frontier), default=f)
-                return MultilevelOptimalResult(
-                    ex.unscale(min(f, open_f)),
-                    None,
-                    expanded,
-                    generated,
-                    complete=False,
-                )
-            raise BudgetExceededError(budget)
-
-        for nmasks, cost_i, code in ex.successors(masks):
-            nkey = ex.pack(nmasks)
-            if nkey in closed:
-                continue
-            ng = g + cost_i
-            old = best_g.get(nkey)
-            if old is None or ng < old:
-                best_g[nkey] = ng
-                if return_schedule:
-                    parents[nkey] = (key, code)
-                heapq.heappush(
-                    frontier, (ng + h(nmasks), next(counter), ng, nmasks)
-                )
-                generated += 1
-
-    raise SolverError(
-        "search space exhausted without reaching a complete state "
-        "(this should be impossible for a feasible instance)"
+    result = best_first(
+        ex,
+        h if compute_i else None,
+        budget=budget,
+        return_schedule=return_schedule,
+        on_exhausted=on_exhausted,
     )
+    return MultilevelOptimalResult(*result)
 
 
 def multilevel_cost_bounds(

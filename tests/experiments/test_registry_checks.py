@@ -33,6 +33,8 @@ FAST_CHECKED_SPECS = [
     "matmul-blocked",
     "conv-sweep",
     "attn-sweep",
+    "multilevel-smoke",
+    "tradeoff-exact",
 ]
 
 
@@ -64,3 +66,22 @@ def test_check_failure_is_labelled():
     ]
     with pytest.raises(AssertionError, match=r"\[table1-models/"):
         run_spec_checks(spec.name, broken)
+
+
+@pytest.mark.parametrize(
+    "name,method",
+    [
+        ("multilevel-smoke", "ml:exact"),
+        ("multilevel-smoke", "ml:exact:hier:3,6:1,4"),
+        ("tradeoff-exact", "exact"),
+    ],
+)
+def test_checks_catch_a_drifted_cost(name, method):
+    from dataclasses import replace
+
+    results = Runner(jobs=0).run(get_spec(name))
+    broken = [
+        replace(r, cost="999") if r.method == method else r for r in results
+    ]
+    with pytest.raises(AssertionError, match=rf"\[{name}/"):
+        run_spec_checks(name, broken)

@@ -10,7 +10,6 @@ from repro.experiments import (
     JsonDirStore,
     MemoryResultStore,
     Runner,
-    RunResult,
     SQLiteResultStore,
     TaskSpec,
     execute_task,

@@ -9,7 +9,7 @@ from repro.generators import (
     layered_random_dag,
     pyramid_dag,
 )
-from repro.heuristics import beam_search_pebble, greedy_pebble
+from repro.heuristics import beam_search_pebble
 from repro.solvers import solve_optimal
 
 

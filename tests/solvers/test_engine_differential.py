@@ -47,8 +47,8 @@ DIFF_SETTINGS = dict(
 )
 
 #: how far an engine's expanded/generated counters may drift from the
-#: reference before we call it a bug (batching changes pop order and
-#: dominance timing, but not by orders of magnitude)
+#: reference before we call it a bug (batching changes pop order, but
+#: not by orders of magnitude)
 COUNTER_BAND = 100
 
 
@@ -68,6 +68,10 @@ GADGETS = [
     ("tree:4", "oneshot", 3),
     ("tradeoff:2x4", "nodel", 4),
     ("h2c:4", "base", 4),
+    # wider than 21 nodes: the numpy engine's tuple-key path (3n > 64)
+    ("chain:24", "nodel", 2),
+    ("grid:2x12", "oneshot", 3),
+    ("chain:40", "nodel", 2),
 ]
 
 

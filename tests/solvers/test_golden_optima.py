@@ -10,9 +10,11 @@ gadget, H2C).  Every entry is asserted against
 * iterative-deepening A* (``solve_optimal_idastar``), and
 * the batched numpy frontier engine (``engine="numpy"``),
 
-so any kernel bug — dominance pruning, cost scaling, successor
-generation — shows up as a *value diff* against a committed constant, not
+so any kernel bug — cost scaling, successor generation, the search
+loop — shows up as a *value diff* against a committed constant, not
 just as a cross-check failure that could in principle be a shared bug.
+The ``bits`` engine's exact work (``expanded``, ``generated``) is pinned
+too, so a change in search order cannot pass unseen.
 
 The pinned optima also serve as certified reference points for the
 non-exact code: every Section 3 bound (the Table 2 range, the
@@ -109,6 +111,43 @@ GOLDEN = [
     ("tradeoff:2x6", "oneshot", 6, "0"),
 ]
 
+#: (expanded, generated) of the default ``bits`` search on each GOLDEN
+#: cell, recorded from ``astar_bits`` with dominance pruning switched off
+#: just before that pruning was deleted (totals: 37,242 expanded, 53,623
+#: generated).  Any change in successor order, tie-breaking or pruning
+#: moves these counts, so update them only with a reason for the change.
+BITS_WORK = {
+    ("pyramid:2", "base", 3): (211, 283),
+    ("pyramid:2", "oneshot", 3): (156, 235),
+    ("pyramid:2", "nodel", 3): (99, 104),
+    ("pyramid:2", "compcost", 3): (211, 283),
+    ("pyramid:2", "base", 4): (17, 65),
+    ("pyramid:2", "oneshot", 4): (16, 60),
+    ("pyramid:2", "nodel", 4): (77, 101),
+    ("pyramid:2", "compcost", 4): (17, 65),
+    ("pyramid:2", "base", 5): (13, 46),
+    ("pyramid:2", "oneshot", 5): (13, 46),
+    ("pyramid:2", "nodel", 5): (44, 80),
+    ("pyramid:2", "compcost", 5): (13, 46),
+    ("pyramid:3", "oneshot", 3): (8263, 11770),
+    ("pyramid:3", "oneshot", 4): (3025, 6739),
+    ("pyramid:3", "nodel", 4): (1513, 1769),
+    ("tree:4", "oneshot", 3): (587, 859),
+    ("tree:4", "oneshot", 4): (38, 159),
+    ("chain:8", "nodel", 2): (59, 89),
+    ("chain:8", "nodel", 3): (108, 183),
+    ("chain:8", "oneshot", 2): (8, 21),
+    ("grid:3x3", "oneshot", 3): (2706, 4217),
+    ("h2c:4", "base", 4): (2904, 3352),
+    ("h2c:4", "oneshot", 4): (1898, 2758),
+    ("h2c:4", "nodel", 4): (418, 461),
+    ("h2c:4", "compcost", 4): (2904, 3352),
+    ("h2c:4", "oneshot", 5): (467, 949),
+    ("tradeoff:2x6", "oneshot", 4): (8519, 10708),
+    ("tradeoff:2x6", "oneshot", 5): (2908, 4683),
+    ("tradeoff:2x6", "oneshot", 6): (30, 140),
+}
+
 #: larger pinned optima: feasible in tier-1 time only for the batched
 #: numpy engine (the scalar engines need multiple seconds each here;
 #: values were cross-checked against ``engine="bits"`` offline).
@@ -140,6 +179,9 @@ class TestGoldenOptima:
         )
         result = solve_optimal(inst)
         assert result.cost == Fraction(expected)
+        assert (result.expanded, result.generated) == BITS_WORK[
+            (dag_name, model, red_limit)
+        ]
         # the reconstructed schedule must be independently auditable
         report = validate_schedule(inst, result.schedule)
         assert report.ok, report.violations[:3]

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro import PebblingInstance
 from repro.core.errors import BudgetExceededError
 from repro.generators import pyramid_dag
 from repro.multilevel import (
@@ -21,16 +22,39 @@ from repro.multilevel import (
     two_level_equivalent,
 )
 from repro.solvers import (
+    astar_batch,
     multilevel_cost_bounds,
     solve_multilevel_optimal,
     solve_optimal,
     solve_optimal_legacy,
 )
+from repro.solvers.kernel import astar_bits
 
 from .test_golden_optima import _FACTORIES, GOLDEN
 
 #: every distinct (dag, R) combination of the golden table
 COMBOS = sorted({(dag, red) for dag, _model, red, _cost in GOLDEN})
+
+#: (expanded, generated) of ``solve_multilevel_optimal`` on each COMBOS
+#: cell, recorded with dominance pruning switched off just before that
+#: pruning was deleted; pinned like ``BITS_WORK`` in test_golden_optima.
+ML_WORK = {
+    ("chain:8", 2): (13, 36),
+    ("chain:8", 3): (28, 117),
+    ("grid:3x3", 3): (967, 1762),
+    ("h2c:4", 4): (1265, 1578),
+    ("h2c:4", 5): (425, 794),
+    ("pyramid:2", 3): (117, 169),
+    ("pyramid:2", 4): (15, 55),
+    ("pyramid:2", 5): (13, 46),
+    ("pyramid:3", 3): (6159, 7547),
+    ("pyramid:3", 4): (3006, 5932),
+    ("tradeoff:2x6", 4): (78, 358),
+    ("tradeoff:2x6", 5): (107, 608),
+    ("tradeoff:2x6", 6): (63, 399),
+    ("tree:4", 3): (311, 467),
+    ("tree:4", 4): (32, 129),
+}
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +76,7 @@ class TestTwoLevelGoldenEquivalence:
         bits = solve_optimal(rb, return_schedule=False).cost
         legacy = solve_optimal_legacy(rb, return_schedule=False).cost
         assert result.cost == bits == legacy
+        assert (result.expanded, result.generated) == ML_WORK[(dag_name, red)]
         # the reconstructed move list must be independently auditable
         replay = MultilevelSimulator(ml).run(result.moves, require_complete=True)
         assert replay.cost == result.cost
@@ -78,14 +103,6 @@ class TestThreeLevel:
             result.moves, require_complete=True
         )
         assert replay.cost == result.cost
-
-    def test_dominance_pruning_preserves_the_optimum(self, three_level):
-        fast = solve_multilevel_optimal(three_level, return_schedule=False)
-        plain = solve_multilevel_optimal(
-            three_level, return_schedule=False, dominance=False
-        )
-        assert fast.cost == plain.cost
-        assert fast.expanded <= plain.expanded
 
     def test_priced_computation_is_charged(self):
         ml = MultilevelInstance(
@@ -124,9 +141,20 @@ class TestBudgetAndBounds:
         with pytest.raises(BudgetExceededError):
             solve_multilevel_optimal(three_level, budget=5)
 
-    def test_unknown_on_exhausted_mode_rejected_up_front(self, three_level):
+    @pytest.mark.parametrize(
+        "solve", [solve_multilevel_optimal, astar_bits, astar_batch],
+        ids=["multilevel", "bits", "numpy"],
+    )
+    @pytest.mark.parametrize("budget", [5, 2_000_000])
+    def test_unknown_on_exhausted_mode_rejected_up_front(
+        self, three_level, solve, budget
+    ):
+        if solve is solve_multilevel_optimal:
+            inst = three_level
+        else:
+            inst = PebblingInstance(dag=pyramid_dag(3), model="base", red_limit=3)
         with pytest.raises(ValueError, match="on_exhausted"):
-            solve_multilevel_optimal(three_level, on_exhausted="bounds")
+            solve(inst, budget=budget, on_exhausted="bounds")
 
     def test_bounds_bracket_the_optimum(self, three_level):
         exact = solve_multilevel_optimal(three_level, return_schedule=False).cost

@@ -1,7 +1,5 @@
 """End-to-end tests for the command-line interface."""
 
-import json
-
 import pytest
 
 from repro.cli import main
@@ -55,6 +53,21 @@ class TestSolve:
             capsys, "solve", "--dag", "chain:5", "--red", "2", "--model", "nodel"
         )
         assert "optimal  : 3" in out
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--dag", "pyramid:3", "--engine", "par"], "unknown engine 'par'"),
+            (["--dag", "chain:70", "--red", "2", "--engine", "numpy"],
+             "at most 64 nodes"),
+        ],
+        ids=["unknown-engine", "numpy-too-wide"],
+    )
+    def test_bad_engine_exits_with_one_line(self, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(["solve", *argv])
+        assert message in str(info.value.code)
+        assert "\n" not in str(info.value.code)
 
 
 class TestHeuristics:

@@ -12,8 +12,6 @@ assertions.
 Run standalone:  python benchmarks/bench_ablation_greedy_rules.py
 """
 
-from fractions import Fraction
-
 from repro.analysis import pivot_costs, render_table, results_table
 from repro.experiments import Runner, get_spec
 

@@ -32,7 +32,7 @@ from repro.multilevel import (
 
 
 def translate(rb_schedule):
-    from repro import Compute, Delete, Load, Store
+    from repro import Compute, Load, Store
 
     out = []
     for move in rb_schedule:

@@ -16,7 +16,7 @@ groups that is *not* an edge of G pays extra transfers.
 Run:  python examples/hardness_hampath.py
 """
 
-from repro import PebblingSimulator, validate_schedule
+from repro import validate_schedule
 from repro.generators import planted_hampath_graph, random_graph, star_graph
 from repro.npc import find_hamiltonian_path, has_hamiltonian_path
 from repro.reductions import hampath_reduction

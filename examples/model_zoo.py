@@ -16,8 +16,6 @@ between and keeps the problem in NP (Lemma 1).
 Run:  python examples/model_zoo.py
 """
 
-from fractions import Fraction
-
 from repro import ALL_MODELS, PebblingInstance
 from repro.analysis import render_table, table1_rows
 from repro.generators import grid_stencil_dag

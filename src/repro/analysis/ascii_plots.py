@@ -6,7 +6,7 @@ paper's Figure 4-style diagrams in any environment.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 __all__ = ["render_table", "ascii_plot"]
 

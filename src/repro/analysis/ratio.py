@@ -10,7 +10,6 @@ from ..core.instance import PebblingInstance
 from ..core.simulator import PebblingSimulator
 from ..heuristics.greedy import GreedyRule, greedy_pebble
 from ..reductions.greedy_grid import (
-    GreedyGridConstruction,
     greedy_grid_construction,
     grid_group_greedy,
 )

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.dag import Node
 from ..core.instance import PebblingInstance
-from ..core.moves import Compute, Delete, Load, Move, Store
+from ..core.moves import Compute, Load, Move, Store
 from ..core.simulator import PebblingSimulator
 
 __all__ = ["ScheduleStats", "schedule_stats"]

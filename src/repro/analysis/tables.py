@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from ..core.dag import ComputationDAG
-from ..core.instance import PebblingInstance
 from ..core.models import ALL_MODELS, Model, cost_model_for
 from ..solvers.bounds import trivial_lower_bound, upper_bound_naive
 

@@ -13,7 +13,7 @@ table2     print Table 2 (model properties)
 bench      experiment runner: list/run/compare declarative specs
 serve      pebbling-as-a-service: long-running async HTTP/JSON API
 query      client for a running server (one cell per call)
-check      repo-aware static analysis (dataflow linter + autofix, CI gate)
+check      repo-aware static analysis (seven dataflow rules, the CI gate)
 
 Generator specs for --dag: ``pyramid:H``, ``chain:N``, ``tree:LEAVES``,
 ``grid:RxC``, ``butterfly:K``, ``matmul:N[:bB]``, ``conv:N:K[:cC]``,
@@ -52,6 +52,7 @@ from typing import Optional
 from .analysis.ascii_plots import ascii_plot, render_table
 from .analysis.tables import table1_rows, table2_rows
 from .core.dag import ComputationDAG
+from .core.errors import PebblingError
 from .core.instance import PebblingInstance
 from .core.simulator import PebblingSimulator
 from .generators import random_graph
@@ -396,49 +397,8 @@ def cmd_check(args) -> int:
 
     from . import devtools
 
-    if args.list_rules:
-        for r in devtools.all_rules():
-            fix = " [autofixable]" if r.autofixable else ""
-            print(f"{r.id}  {r.name} ({r.scope}, {r.severity}){fix}")
-            print(f"       {r.description}")
-        return 0
-    try:
-        rules = devtools.select_rules(
-            select=args.select or None, ignore=args.ignore or None
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    if args.update_baseline and not args.baseline:
-        raise SystemExit("--update-baseline requires --baseline FILE")
-    root = Path(args.root)
-    fixed = 0
-    if args.fix:
-        fixed, findings = devtools.fix_all(root, rules)
-    else:
-        index = devtools.RepoIndex(root)
-        findings = devtools.run_check(index, rules=rules)
-    if args.changed_only:
-        changed = devtools.changed_paths(root)
-        if changed is not None:
-            findings = [f for f in findings if f.path in changed]
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if args.update_baseline:
-            devtools.save_baseline(baseline_path, findings)
-            print(f"baseline: {len(findings)} finding(s) written to "
-                  f"{baseline_path}")
-            return 0
-        try:
-            baseline = devtools.load_baseline(baseline_path)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
-        findings = devtools.apply_baseline(findings, baseline)
-    if args.fix and fixed:
-        print(f"fixed: {fixed} finding(s) rewritten in place")
-    render = (
-        devtools.render_json if args.format == "json" else devtools.render_text
-    )
-    print(render(findings, checked_rules=rules))
+    findings = devtools.run_check(devtools.RepoIndex(Path(args.root)))
+    print(devtools.render_text(findings, checked_rules=devtools.all_rules()))
     return 1 if findings else 0
 
 
@@ -565,21 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--root", default=".",
                    help="repository root to analyze (default: cwd)")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--select", action="append", metavar="RULE",
-                   help="run only these rule ids (repeatable)")
-    p.add_argument("--ignore", action="append", metavar="RULE",
-                   help="skip these rule ids (repeatable)")
-    p.add_argument("--list-rules", action="store_true",
-                   help="print the rule catalogue and exit")
-    p.add_argument("--fix", action="store_true",
-                   help="apply span autofixes, re-checking until clean")
-    p.add_argument("--baseline", metavar="FILE", default=None,
-                   help="filter findings recorded in FILE (warn-first mode)")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="write the current findings to --baseline FILE")
-    p.add_argument("--changed-only", action="store_true",
-                   help="only report findings in files changed per git")
     p.set_defaults(fn=cmd_check)
 
     return parser
@@ -587,7 +532,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except PebblingError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":  # pragma: no cover

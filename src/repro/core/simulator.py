@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
 
 from .bitstate import apply_move_bits, bit_layout
-from .dag import ComputationDAG, Node
+from .dag import ComputationDAG
 from .errors import IncompletePebblingError
 from .instance import PebblingInstance
 from .moves import Move

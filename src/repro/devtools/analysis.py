@@ -6,9 +6,6 @@ a rule pass already holds:
 * :func:`build_cfg` — a statement-granularity control-flow graph per
   function (If/While/For/Try/With/Match, break/continue, virtual entry,
   normal-exit and raise-exit nodes);
-* :func:`reaching_definitions` / :func:`use_def` — the classic forward
-  may-analysis over that CFG, so rules can ask "which binding of ``x``
-  can this read observe";
 * :func:`build_call_graph` — a repo-wide call graph with relative- and
   absolute-import resolution (``from ..core.errors import X`` resolves
   to the indexed module), plus per-function raise/call summaries;
@@ -22,10 +19,11 @@ a rule pass already holds:
 Deliberate approximations (the rules are linters, not verifiers):
 bindings created by walrus expressions are ignored; a ``return`` under
 ``try/finally`` is routed through the innermost ``finally`` only;
-exception edges into handlers start at the ``try`` statement (or, with
-``exception_edges=True``, at every statement of the protected body);
-calls through variables of unknown type resolve to nothing; raises of
-non-name expressions (``raise make_error()``) are skipped.
+exception edges into handlers start at the ``try`` statement, which
+keeps "resource acquired inside the protected body" from reaching a
+handler it cannot reach with the resource bound; calls through
+variables of unknown type resolve to nothing; raises of non-name
+expressions (``raise make_error()``) are skipped.
 """
 
 from __future__ import annotations
@@ -49,8 +47,6 @@ from .index import ModuleInfo, RepoIndex
 __all__ = [
     "CFG",
     "build_cfg",
-    "reaching_definitions",
-    "use_def",
     "FunctionInfo",
     "CallGraph",
     "build_call_graph",
@@ -93,21 +89,13 @@ class CFG:
     EXIT: int = 1
     RAISE_EXIT: int = 2
 
-    def preds(self) -> List[Set[int]]:
-        out: List[Set[int]] = [set() for _ in self.stmts]
-        for a, targets in enumerate(self.succ):
-            for b in targets:
-                out[b].add(a)
-        return out
-
     def nodes_for(self, stmt: ast.stmt) -> List[int]:
         return [i for i, s in enumerate(self.stmts) if s is stmt]
 
 
 class _CFGBuilder:
-    def __init__(self, func: FunctionNode, exception_edges: bool) -> None:
+    def __init__(self, func: FunctionNode) -> None:
         self.func = func
-        self.exception_edges = exception_edges
         self.stmts: List[Optional[ast.stmt]] = [None, None, None]
         self.succ: List[Set[int]] = [set(), set(), set()]
         # (loop-head node, break-node accumulator) innermost-last
@@ -175,16 +163,10 @@ class _CFGBuilder:
             frame: List[Tuple[str, int]] = []
             if stmt.finalbody:
                 self.finally_frames.append(frame)
-            start = len(self.stmts)
             body_out = self.block(stmt.body, {nid})
-            body_nodes = (
-                set(range(start, len(self.stmts)))
-                if self.exception_edges
-                else set()
-            )
             outs: Set[int] = set()
             for handler in stmt.handlers:
-                outs |= self.block(handler.body, {nid} | body_nodes)
+                outs |= self.block(handler.body, {nid})
             if stmt.orelse:
                 outs |= self.block(stmt.orelse, set(body_out))
             else:
@@ -236,20 +218,17 @@ class _CFGBuilder:
         return {nid}
 
 
-def build_cfg(func: FunctionNode, *, exception_edges: bool = False) -> CFG:
+def build_cfg(func: FunctionNode) -> CFG:
     """The statement-level CFG of ``func``.
 
-    With ``exception_edges=True`` every statement of a ``try`` body gets
-    an edge to each of its handlers (any statement may raise); without
-    it only the ``try`` statement itself does, which keeps "resource
-    acquired inside the protected body" from reaching a handler it
-    cannot reach with the resource bound.
+    Only the ``try`` statement itself has edges to its handlers, not
+    every statement of the protected body.
     """
-    return _CFGBuilder(func, exception_edges).build()
+    return _CFGBuilder(func).build()
 
 
 # --------------------------------------------------------------------- #
-# reaching definitions / use-def
+# statement bindings and header expressions
 # --------------------------------------------------------------------- #
 
 _COMPOUND_TYPES = _TRY_TYPES + _LOOP_TYPES + (
@@ -312,81 +291,6 @@ def _header_exprs(stmt: ast.stmt) -> List[ast.expr]:
             if isinstance(child, ast.expr)]
 
 
-def _loaded_names(stmt: ast.stmt) -> Set[str]:
-    loads: Set[str] = set()
-    for expr in _header_exprs(stmt):
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loads.add(node.id)
-    return loads
-
-
-def reaching_definitions(cfg: CFG) -> Dict[int, Set[Tuple[str, int]]]:
-    """IN sets of the classic forward may-analysis: ``{(name, def_node)}``.
-
-    The virtual entry node defines the function's parameters.
-    """
-    args = cfg.func.args
-    params = [
-        a.arg
-        for a in (
-            *args.posonlyargs, *args.args, *args.kwonlyargs,
-            *((args.vararg,) if args.vararg else ()),
-            *((args.kwarg,) if args.kwarg else ()),
-        )
-    ]
-    gen: List[Set[Tuple[str, int]]] = []
-    kill: List[Set[str]] = []
-    for nid, stmt in enumerate(cfg.stmts):
-        if nid == CFG.ENTRY:
-            gen.append({(p, CFG.ENTRY) for p in params})
-            kill.append(set(params))
-        elif stmt is None:
-            gen.append(set())
-            kill.append(set())
-        else:
-            bound = stmt_bindings(stmt)
-            gen.append({(name, nid) for name in bound})
-            kill.append(bound)
-
-    preds = cfg.preds()
-    ins: Dict[int, Set[Tuple[str, int]]] = {n: set() for n in range(len(cfg.stmts))}
-    outs: Dict[int, Set[Tuple[str, int]]] = {
-        n: set(gen[n]) for n in range(len(cfg.stmts))
-    }
-    work = list(range(len(cfg.stmts)))
-    while work:
-        nid = work.pop()
-        in_set: Set[Tuple[str, int]] = set()
-        for p in preds[nid]:
-            in_set |= outs[p]
-        ins[nid] = in_set
-        new_out = gen[nid] | {d for d in in_set if d[0] not in kill[nid]}
-        if new_out != outs[nid]:
-            outs[nid] = new_out
-            work.extend(self_succ for self_succ in cfg.succ[nid])
-    return ins
-
-
-def use_def(cfg: CFG) -> Dict[int, Dict[str, Set[int]]]:
-    """Per node: which definitions each name read there can observe."""
-    ins = reaching_definitions(cfg)
-    out: Dict[int, Dict[str, Set[int]]] = {}
-    for nid, stmt in enumerate(cfg.stmts):
-        if stmt is None:
-            continue
-        loads = _loaded_names(stmt)
-        if not loads:
-            continue
-        chains: Dict[str, Set[int]] = {}
-        for name, def_node in ins[nid]:
-            if name in loads:
-                chains.setdefault(name, set()).add(def_node)
-        if chains:
-            out[nid] = chains
-    return out
-
-
 # --------------------------------------------------------------------- #
 # the repo-wide call graph
 # --------------------------------------------------------------------- #
@@ -421,7 +325,6 @@ class _FnSummary:
     calls: List[Tuple[str, Tuple[FrozenSet[str], ...]]] = field(
         default_factory=list
     )
-    unresolved: Set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -435,10 +338,6 @@ class CallGraph:
             qn: {callee for callee, _ in summ.calls}
             for qn, summ in self.summaries.items()
         }
-
-    def unresolved(self, qualname: str) -> Set[str]:
-        summ = self.summaries.get(qualname)
-        return set(summ.unresolved) if summ else set()
 
 
 def _module_parts(rel: str) -> List[str]:
@@ -601,10 +500,6 @@ def _summarize(
                 callee = resolver.resolve(node, class_ctx)
                 if callee is not None:
                     summary.calls.append((callee, masks))
-                else:
-                    name = _exc_leaf(node.func)
-                    if name is not None:
-                        summary.unresolved.add(name)
 
     def visit(
         body: Sequence[ast.stmt],

@@ -25,7 +25,7 @@ from typing import Iterator, Set
 
 from .index import ModuleInfo, RepoIndex
 from .report import Finding
-from .rules import call_name, dotted_name, finding, rule
+from .rules import dotted_name, finding, rule
 
 __all__ = ["PACKED_MODULES"]
 
@@ -74,8 +74,6 @@ def _is_packed_fixture(module: ModuleInfo) -> bool:
 @rule(
     "RP001",
     "bit-width-safety",
-    severity="error",
-    autofixable=True,
     scope="file",
     description=(
         "packed-state modules must not shift values past the 64-bit lane, "
@@ -106,7 +104,7 @@ def check_bitwidth(module: ModuleInfo, index: RepoIndex) -> Iterator[Finding]:
                 )
             ):
                 yield finding(
-                    "RP001", "error", module, node,
+                    "RP001", module, node,
                     f"value shifted by literal {amount.value} >= "
                     f"{_MAX_LANE_BITS}: exceeds the uint64 lane the packed "
                     f"layouts assume (guard by the layout width instead)",
@@ -121,7 +119,7 @@ def check_bitwidth(module: ModuleInfo, index: RepoIndex) -> Iterator[Finding]:
                     and side.value.bit_length() > _MAX_LANE_BITS
                 ):
                     yield finding(
-                        "RP001", "error", module, side,
+                        "RP001", module, side,
                         f"bitwise mask literal needs "
                         f"{side.value.bit_length()} bits, layout lanes "
                         f"hold {_MAX_LANE_BITS}",
@@ -142,7 +140,7 @@ def check_bitwidth(module: ModuleInfo, index: RepoIndex) -> Iterator[Finding]:
                 )
                 if dtype is None:
                     yield finding(
-                        "RP001", "error", module, node,
+                        "RP001", module, node,
                         f"{func.value.id}.{func.attr}(...) without an "
                         f"explicit dtype: the default integer width is "
                         f"platform-dependent; pin uint64 (masks), int64 "
@@ -159,7 +157,7 @@ def check_bitwidth(module: ModuleInfo, index: RepoIndex) -> Iterator[Finding]:
                     )
                     if leaf in _NARROW_DTYPES or literal in _NARROW_DTYPES:
                         yield finding(
-                            "RP001", "error", module, dtype,
+                            "RP001", module, dtype,
                             f"dtype {leaf or literal} is narrower than the "
                             f"64-bit lane the packed layouts assume",
                         )
@@ -174,9 +172,7 @@ def check_bitwidth(module: ModuleInfo, index: RepoIndex) -> Iterator[Finding]:
                 and func.attr in _NARROW_DTYPES
             ):
                 yield finding(
-                    "RP001", "error", module, node,
+                    "RP001", module, node,
                     f"{func.value.id}.{func.attr}(...) narrows to "
                     f"{func.attr}; packed masks must stay on 64-bit lanes",
                 )
-
-    _ = call_name  # referenced to keep the helper import obviously used

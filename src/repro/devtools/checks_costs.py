@@ -16,8 +16,7 @@ target — is a cost-named variable (``g``, ``f``, ``h``, ``ng``,
 ``*_i``, ``*cost*``, ``*bound*``, ``incumbent``, ``threshold``,
 ``scale``, …).  Timing floats (``conn.poll(0.005)``,
 ``time.sleep(...)``, ping intervals) never compare against cost names
-and stay legal.  Integral literals (``2.0``) carry an autofix to the
-int literal; non-integral ones need a human (rescale via Fraction).
+and stay legal.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Iterator, Optional
 
 from .checks_bitwidth import PACKED_MODULES
 from .index import ModuleInfo, RepoIndex
-from .report import Finding, Fix
+from .report import Finding
 from .rules import rule
 
 __all__ = []
@@ -65,27 +64,11 @@ def _is_float_literal(expr: ast.expr) -> bool:
     return isinstance(expr, ast.Constant) and isinstance(expr.value, float)
 
 
-def _float_fix(node: ast.Constant) -> Optional[Fix]:
-    value = node.value
-    if not isinstance(value, float) or not value.is_integer():
-        return None
-    end_line = getattr(node, "end_lineno", None)
-    end_col = getattr(node, "end_col_offset", None)
-    if end_line is None or end_col is None:
-        return None
-    return Fix(
-        line=node.lineno, col=node.col_offset,
-        end_line=end_line, end_col=end_col,
-        replacement=str(int(value)),
-    )
-
-
 def _emit(
     module: ModuleInfo, node: ast.Constant, cost_name: str, context: str
 ) -> Finding:
     return Finding(
         rule="RP012",
-        severity="error",
         path=module.rel,
         line=node.lineno,
         col=node.col_offset,
@@ -95,7 +78,6 @@ def _emit(
             f"{int(node.value) if float(node.value).is_integer() else 'a scaled int'} "
             f"(or route the value through Fraction at the boundary)"
         ),
-        fix=_float_fix(node),
     )
 
 
@@ -109,13 +91,11 @@ def _in_scope(module: ModuleInfo) -> bool:
 @rule(
     "RP012",
     "float-costs-in-kernel",
-    severity="error",
-    autofixable=True,
     scope="file",
     description=(
         "packed/kernel modules keep costs on LCM-scaled integers: float "
         "literals must not mix into cost-vocabulary arithmetic, "
-        "comparisons or assignments (integral offenders are autofixed)"
+        "comparisons or assignments"
     ),
 )
 def check_float_costs(module: ModuleInfo, index: RepoIndex) -> Iterator[Finding]:

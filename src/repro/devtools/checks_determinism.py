@@ -54,7 +54,7 @@ def _clock_findings(module: ModuleInfo, node: ast.Call) -> List[Finding]:
     if name in _WALL_CLOCK or name.endswith(".datetime.now"):
         out.append(
             finding(
-                "RP006", "error", module, node,
+                "RP006", module, node,
                 f"{name}(...) reads the wall clock inside a tier-1 test; "
                 f"freeze or inject the timestamp instead",
             )
@@ -70,7 +70,7 @@ def _random_findings(module: ModuleInfo, node: ast.Call) -> List[Finding]:
         if attr not in _RANDOM_OK:
             out.append(
                 finding(
-                    "RP006", "error", module, node,
+                    "RP006", module, node,
                     f"{name}(...) uses the unseeded global generator; "
                     f"construct random.Random(seed) so the test replays",
                 )
@@ -81,7 +81,7 @@ def _random_findings(module: ModuleInfo, node: ast.Call) -> List[Finding]:
             if attr not in _NP_RANDOM_OK:
                 out.append(
                     finding(
-                        "RP006", "error", module, node,
+                        "RP006", module, node,
                         f"{name}(...) uses numpy's unseeded global "
                         f"generator; use np.random.default_rng(seed)",
                     )
@@ -92,7 +92,6 @@ def _random_findings(module: ModuleInfo, node: ast.Call) -> List[Finding]:
 @rule(
     "RP006",
     "test-determinism",
-    severity="error",
     scope="file",
     description=(
         "tier-1 tests must not use unseeded randomness, read the wall "
@@ -118,7 +117,7 @@ def check_test_determinism(
                 leaf = name.rsplit(".", 1)[-1] if name else ""
                 if leaf in _TIMER_LEAVES:
                     yield finding(
-                        "RP006", "error", module, sub,
+                        "RP006", module, sub,
                         f"{name or leaf}(...) inside an assert makes the "
                         f"verdict depend on runner load; measure outside "
                         f"tier-1 (benchmarks/) or assert on counts",

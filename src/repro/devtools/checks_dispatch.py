@@ -10,19 +10,17 @@ For every function the rule groups branch tests of the forms
 ``name == "const"`` / ``name != "const"`` / ``name.startswith("const")``
 by ``(variable, operation, constant)``; a second occurrence whose first
 occurrence terminates (its body ends in ``return``/``raise``) is dead
-and flagged.  When the duplicate is a plain ``if`` (not an ``elif``,
-no ``else``) with a body structurally identical to the first, the
-finding carries an autofix that deletes the whole statement.
+and flagged.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .analysis import _FUNC_TYPES, FunctionNode
+from .analysis import _FUNC_TYPES
 from .index import ModuleInfo, RepoIndex
-from .report import Finding, Fix
+from .report import Finding
 from .rules import rule
 
 __all__ = ["SPEC_MODULES"]
@@ -67,50 +65,13 @@ def _terminates(body: List[ast.stmt]) -> bool:
     return bool(body) and isinstance(body[-1], (ast.Return, ast.Raise))
 
 
-def _elif_ifs(fn: FunctionNode) -> Set[int]:
-    """ids of If nodes that are the elif arm of another If."""
-    out: Set[int] = set()
-    for node in ast.walk(fn):
-        if (
-            isinstance(node, ast.If)
-            and len(node.orelse) == 1
-            and isinstance(node.orelse[0], ast.If)
-        ):
-            out.add(id(node.orelse[0]))
-    return out
-
-
-def _delete_fix(module: ModuleInfo, stmt: ast.stmt) -> Optional[Fix]:
-    """Remove the statement's full lines (safe only for flat chains)."""
-    end_line = getattr(stmt, "end_lineno", None)
-    if end_line is None:
-        return None
-    start_line = stmt.lineno
-    # refuse when another statement shares the first or last line
-    first = module.lines[start_line - 1]
-    if first[: stmt.col_offset].strip():
-        return None
-    if end_line < len(module.lines):
-        return Fix(
-            line=start_line, col=0, end_line=end_line + 1, end_col=0,
-            replacement="",
-        )
-    return Fix(
-        line=start_line, col=0, end_line=end_line,
-        end_col=len(module.lines[end_line - 1]), replacement="",
-    )
-
-
 @rule(
     "RP011",
     "dead-dispatch-branch",
-    severity="error",
-    autofixable=True,
     scope="file",
     description=(
         "spec-grammar dispatch chains must not test the same "
-        "(variable, constant) twice — the second branch is dead; "
-        "identical duplicates are autofixably deleted"
+        "(variable, constant) twice — the second branch is dead"
     ),
 )
 def check_dispatch_branches(
@@ -123,7 +84,6 @@ def check_dispatch_branches(
     for fn in ast.walk(tree):
         if not isinstance(fn, _FUNC_TYPES):
             continue
-        elifs = _elif_ifs(fn)
         seen: Dict[Tuple[str, str, str], ast.If] = {}
         for node in ast.walk(fn):
             if not isinstance(node, ast.If):
@@ -143,15 +103,8 @@ def check_dispatch_branches(
                 if op == "startswith"
                 else f"{var} {op} {const!r}"
             )
-            fix: Optional[Fix] = None
-            identical = ast.dump(
-                ast.Module(body=node.body, type_ignores=[])
-            ) == ast.dump(ast.Module(body=first.body, type_ignores=[]))
-            if identical and not node.orelse and id(node) not in elifs:
-                fix = _delete_fix(module, node)
             yield Finding(
                 rule="RP011",
-                severity="error",
                 path=module.rel,
                 line=node.lineno,
                 col=node.col_offset,
@@ -160,5 +113,4 @@ def check_dispatch_branches(
                     f"`{test_desc}` already dispatched at line "
                     f"{first.lineno}, so this branch is dead"
                 ),
-                fix=fix,
             )

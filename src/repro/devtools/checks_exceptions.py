@@ -13,8 +13,8 @@ resolves each exported name to the module-level function defining it
 under ``src/repro/solvers/``, and asks the exception-propagation
 fixpoint (:func:`~repro.devtools.analysis.exception_propagation`) which
 exception types can escape it.  Types outside the contract are flagged
-*at their originating raise site*, so the fix (and any ``# noqa``) lands
-where the raise is.
+*at their originating raise site*, so the fix lands where the raise
+is.
 
 Known limits, by construction of the propagation graph: only explicit
 ``raise Name(...)`` statements seed the analysis (implicit ``KeyError``
@@ -73,7 +73,6 @@ def _allowed(exc: str, hierarchy: Dict[str, Tuple[str, ...]]) -> bool:
 @rule(
     "RP008",
     "solver-exception-contract",
-    severity="error",
     scope="repo",
     description=(
         "public solvers/* entry points (the package __all__) may only let "
@@ -115,7 +114,6 @@ def check_exception_contract(index: RepoIndex) -> Iterator[Finding]:
         names = ", ".join(sorted(entry_points))
         yield Finding(
             rule="RP008",
-            severity="error",
             path=path,
             line=line,
             col=0,

@@ -86,7 +86,7 @@ class _ForkVisitor(ast.NodeVisitor):
         if isinstance(target, ast.Lambda):
             self.findings.append(
                 finding(
-                    "RP003", "error", self.module, target,
+                    "RP003", self.module, target,
                     "lambda as process target: lambdas don't pickle, so "
                     "this breaks under the spawn start method; use a "
                     "module-level function",
@@ -95,7 +95,7 @@ class _ForkVisitor(ast.NodeVisitor):
         elif isinstance(target, ast.Attribute):
             self.findings.append(
                 finding(
-                    "RP003", "error", self.module, target,
+                    "RP003", self.module, target,
                     f"bound attribute {ast.unparse(target)} as process "
                     f"target: instance state must survive pickling into "
                     f"the child; pass a module-level function plus args",
@@ -104,7 +104,7 @@ class _ForkVisitor(ast.NodeVisitor):
         elif isinstance(target, ast.Name) and target.id in self._local_defs():
             self.findings.append(
                 finding(
-                    "RP003", "error", self.module, target,
+                    "RP003", self.module, target,
                     f"nested function {target.id!r} as process target: "
                     f"closures don't pickle under spawn; hoist it to "
                     f"module scope",
@@ -115,7 +115,6 @@ class _ForkVisitor(ast.NodeVisitor):
 @rule(
     "RP003",
     "fork-pickling-safety",
-    severity="error",
     scope="file",
     description=(
         "process targets must be module-level functions (no lambdas, "

@@ -209,7 +209,6 @@ def _is_src_module(module: ModuleInfo) -> bool:
 @rule(
     "RP007",
     "resource-release-paths",
-    severity="error",
     scope="file",
     description=(
         "Pipe/Pool/PipeWorker/sqlite resources bound to a local name must "
@@ -252,7 +251,7 @@ def check_resource_release(
                     _leak_paths(cfg, nid, var, stmt) for nid in nodes
                 ):
                     yield finding(
-                        "RP007", "error", module, stmt,
+                        "RP007", module, stmt,
                         f"resource '{var}' from {label}(...) can reach a "
                         f"normal exit of {fn.name}() without close/retire "
                         f"on some path; release it on every branch, use a "

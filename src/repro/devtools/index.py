@@ -1,77 +1,53 @@
 """The parsed-module index the rules run over.
 
-A :class:`RepoIndex` walks a repository root once and keeps, per file,
-everything a rule pass needs: source text, split lines, and (for python
-files) the parsed AST.  Per-file rules iterate :meth:`RepoIndex.modules`;
-cross-file rules ask for specific well-known paths
-(:meth:`RepoIndex.module` / :meth:`RepoIndex.doc`) so the same rule runs
-unchanged against the real repository and against the miniature fixture
-trees in ``tests/devtools/fixtures/``.
+A :class:`RepoIndex` walks a repository root once and keeps, per python
+file, everything a rule pass needs: the source text and the parsed AST.
+Per-file rules iterate :meth:`RepoIndex.modules`; RP008 asks for a
+well-known path (:meth:`RepoIndex.module`) so the same rule runs
+unchanged against the real repository and against the miniature
+fixture tree in ``tests/devtools/fixtures/``.
 """
 
 from __future__ import annotations
 
 import ast
-import io
-import re
-import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .report import Finding
-
-__all__ = [
-    "ModuleInfo",
-    "RepoIndex",
-    "NOQA_RE",
-    "DEFAULT_SCAN",
-    "DEFAULT_EXCLUDES",
-]
+__all__ = ["ModuleInfo", "RepoIndex", "DEFAULT_SCAN", "EXCLUDED_DIRS", "FIXTURES"]
 
 #: subtrees scanned when no explicit paths are given
 DEFAULT_SCAN: Tuple[str, ...] = (
     "src",
     "tests",
-    "docs",
     "benchmarks",
     "examples",
     "tools",
-    "README.md",
 )
 
-#: path fragments never scanned (the analyzer's own known-violation
-#: fixtures live under tests/devtools/fixtures and *must* stay out of
-#: the default run)
-DEFAULT_EXCLUDES: Tuple[str, ...] = (
-    "__pycache__",
-    ".git",
-    ".hypothesis",
-    "results",
-    "tests/devtools/fixtures",
-)
+#: directory names never scanned, at any depth (``results/`` holds
+#: bench output; a *file* named ``results.py`` is scanned like any other)
+EXCLUDED_DIRS = frozenset({"__pycache__", ".git", ".hypothesis", "results"})
 
-#: a ``# noqa: RP001`` / ``# noqa: RP001,RP003`` suppression comment;
-#: the comma list is first-class (also reused by the unused-noqa autofix)
-NOQA_RE = re.compile(r"#\s*noqa:\s*(?P<ids>[A-Z]{2}\d{3}(?:\s*,\s*[A-Z]{2}\d{3})*)")
+#: the analyzer's own known-violation fixtures *must* stay out of the
+#: default run
+FIXTURES = "tests/devtools/fixtures/"
 
 
 @dataclass
 class ModuleInfo:
-    """One indexed python file: path, source, lines, parsed AST."""
+    """One indexed python file: relative path, source, parsed AST."""
 
-    path: Path
     rel: str  # posix-style path relative to the index root
     source: str
-    lines: List[str] = field(default_factory=list)
     tree: Optional[ast.Module] = None
     syntax_error: Optional[str] = None
 
     @classmethod
     def parse(cls, path: Path, rel: str) -> "ModuleInfo":
         source = path.read_text(encoding="utf-8")
-        info = cls(path=path, rel=rel, source=source, lines=source.splitlines())
+        info = cls(rel=rel, source=source)
         try:
             info.tree = ast.parse(source, filename=rel)
         except SyntaxError as exc:  # surfaced by the framework, not a rule
@@ -80,40 +56,24 @@ class ModuleInfo:
 
 
 class RepoIndex:
-    """All python modules and markdown docs under one root, parsed once."""
+    """All python modules under one root, parsed once."""
 
-    def __init__(
-        self,
-        root: Path,
-        *,
-        paths: Optional[Sequence[str]] = None,
-        excludes: Sequence[str] = DEFAULT_EXCLUDES,
-    ) -> None:
-        self.root = Path(root).resolve()
+    def __init__(self, root: Path, *, paths: Optional[Sequence[str]] = None) -> None:
+        root = Path(root).resolve()
         self._py: Dict[str, ModuleInfo] = {}
-        self._docs: Dict[str, str] = {}
-        self._noqa: Dict[str, Dict[int, Tuple[str, ...]]] = {}
-        self._excludes = tuple(excludes)
         for entry in paths if paths is not None else DEFAULT_SCAN:
-            target = self.root / entry
+            target = root / entry
             if not target.exists():
                 continue
-            candidates = [target] if target.is_file() else sorted(
-                p for p in target.rglob("*") if p.is_file()
-            )
+            candidates = [target] if target.is_file() else sorted(target.rglob("*.py"))
             for path in candidates:
-                rel = path.relative_to(self.root).as_posix()
-                if self._excluded(rel):
-                    continue
-                if path.suffix == ".py":
+                rel = path.relative_to(root).as_posix()
+                if (
+                    path.suffix == ".py"
+                    and not EXCLUDED_DIRS.intersection(rel.split("/")[:-1])
+                    and not rel.startswith(FIXTURES)
+                ):
                     self._py[rel] = ModuleInfo.parse(path, rel)
-                elif path.suffix == ".md":
-                    self._docs[rel] = path.read_text(encoding="utf-8")
-
-    def _excluded(self, rel: str) -> bool:
-        return any(frag in rel for frag in self._excludes)
-
-    # -- lookups --------------------------------------------------------
 
     def modules(self) -> Iterator[ModuleInfo]:
         """All indexed python modules, in stable path order."""
@@ -123,50 +83,3 @@ class RepoIndex:
     def module(self, rel: str) -> Optional[ModuleInfo]:
         """The module at a well-known relative path, or None."""
         return self._py.get(rel)
-
-    def doc(self, rel: str) -> Optional[str]:
-        """The markdown file at a well-known relative path, or None."""
-        return self._docs.get(rel)
-
-    def docs(self) -> Iterator[Tuple[str, str]]:
-        for rel in sorted(self._docs):
-            yield rel, self._docs[rel]
-
-    # -- suppressions ---------------------------------------------------
-
-    def noqa_directives(self, rel: str) -> Dict[int, Tuple[str, ...]]:
-        """``{line: (rule ids)}`` for every noqa comment in a module.
-
-        Comma lists are honored: ``# noqa: RP001,RP003`` suppresses both
-        rules on that line.  Only real COMMENT tokens count — the string
-        ``"# noqa: RP001"`` inside a docstring or test literal is data,
-        not a directive.  The map is the source the unused-noqa pass
-        (RP000) audits, so suppressions cannot rot silently.
-        """
-        info = self._py.get(rel)
-        if info is None:
-            return {}
-        cached = self._noqa.get(rel)
-        if cached is None:
-            cached = {}
-            try:
-                tokens = list(
-                    tokenize.generate_tokens(io.StringIO(info.source).readline)
-                )
-            except (tokenize.TokenError, SyntaxError, IndentationError):
-                tokens = []
-            for tok in tokens:
-                if tok.type != tokenize.COMMENT:
-                    continue
-                match = NOQA_RE.match(tok.string)
-                if match is not None:
-                    cached[tok.start[0]] = tuple(
-                        part.strip() for part in match.group("ids").split(",")
-                    )
-            self._noqa[rel] = cached
-        return cached
-
-    def is_suppressed(self, finding: "Finding") -> bool:
-        """True when the finding's line carries ``# noqa: <rule id>``."""
-        ids = self.noqa_directives(finding.path).get(finding.line, ())
-        return finding.rule in ids

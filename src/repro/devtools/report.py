@@ -1,47 +1,12 @@
-"""Findings and the two output formats of ``repro-pebble check``.
-
-The JSON schema is versioned and pinned by
-``tests/devtools/test_report.py`` — CI consumers parse it, so growing
-it is fine, renaming or removing keys is a breaking change.
-"""
+"""Findings and the text report of ``repro-pebble check``."""
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
-__all__ = ["Finding", "Fix", "render_text", "render_json", "JSON_FORMAT"]
-
-#: schema identifier embedded in every JSON report
-JSON_FORMAT = "repro-pebble/check/v1"
-
-
-@dataclass(frozen=True)
-class Fix:
-    """A span-based rewrite that mechanically resolves a finding.
-
-    Coordinates are 1-based lines and 0-based columns, the same frame
-    the findings use; the span is replaced verbatim by ``replacement``
-    (possibly empty — a deletion).  ``--fix`` applies these and
-    re-checks until clean.
-    """
-
-    line: int
-    col: int
-    end_line: int
-    end_col: int
-    replacement: str
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "line": self.line,
-            "col": self.col,
-            "end_line": self.end_line,
-            "end_col": self.end_col,
-            "replacement": self.replacement,
-        }
+__all__ = ["Finding", "render_text"]
 
 
 @dataclass(frozen=True)
@@ -49,35 +14,19 @@ class Finding:
     """One rule violation at one source location."""
 
     rule: str
-    severity: str
     path: str
     line: int
     col: int
     message: str
-    fix: Optional[Fix] = None
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "severity": self.severity,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "fix": self.fix.to_dict() if self.fix is not None else None,
-        }
 
 
 def render_text(findings: Sequence[Finding], *, checked_rules: Sequence) -> str:
-    """Human-readable report: one ``path:line:col RPxxx message`` per line."""
-    lines: List[str] = []
-    for f in findings:
-        mark = " (autofixable)" if f.fix is not None else ""
-        lines.append(
-            f"{f.path}:{f.line}:{f.col} {f.rule} [{f.severity}] {f.message}{mark}"
-        )
-    counts = Counter(f.rule for f in findings)
+    """One ``path:line:col RPxxx message`` line per finding, then a summary."""
+    lines: List[str] = [
+        f"{f.path}:{f.line}:{f.col} {f.rule} {f.message}" for f in findings
+    ]
     if findings:
+        counts = Counter(f.rule for f in findings)
         summary = ", ".join(f"{rid}={n}" for rid, n in sorted(counts.items()))
         lines.append(
             f"{len(findings)} finding(s) ({summary}) from "
@@ -86,15 +35,3 @@ def render_text(findings: Sequence[Finding], *, checked_rules: Sequence) -> str:
     else:
         lines.append(f"clean: {len(checked_rules)} rule(s), 0 findings")
     return "\n".join(lines)
-
-
-def render_json(findings: Sequence[Finding], *, checked_rules: Sequence) -> str:
-    """Machine-readable report (schema pinned by the devtools tests)."""
-    payload = {
-        "format": JSON_FORMAT,
-        "ok": not findings,
-        "rules": [r.to_dict() for r in checked_rules],
-        "findings": [f.to_dict() for f in findings],
-        "counts": dict(sorted(Counter(f.rule for f in findings).items())),
-    }
-    return json.dumps(payload, indent=2, sort_keys=False)

@@ -1,16 +1,13 @@
 """The rule registry: ``Rule`` objects plus per-file / cross-file passes.
 
-A rule is a plain object with an id, a severity, an ``autofixable``
-marker (whether ``--fix`` could mechanically rewrite the violation — a
-forward-looking flag: the CLI reports it but applies no fixes yet), and
-a check function.  Two pass shapes exist:
+A rule is a plain object with an id, a name, a scope and a check
+function; every rule is an error.  Two pass shapes exist:
 
 * ``scope="file"`` — the check runs once per indexed python module and
   receives ``(module, index)``; rules usually filter by ``module.rel``.
 * ``scope="repo"`` — the check runs once and receives the whole
-  :class:`~repro.devtools.index.RepoIndex`; this is how the sync rules
-  compare an engine catalogue against a test parametrization and a
-  docs table.
+  :class:`~repro.devtools.index.RepoIndex`; this is how RP008 follows
+  exceptions across modules.
 
 Rules register themselves at import time via :func:`rule` so the
 catalogue is the single source the CLI, the docs and the tests all read.
@@ -36,8 +33,6 @@ class Rule:
 
     id: str
     name: str
-    severity: str  # "error" | "warning"
-    autofixable: bool
     scope: str  # "file" | "repo"
     description: str
     check: Callable[..., Iterable[Finding]]
@@ -49,11 +44,11 @@ class Rule:
             return
         for module in index.modules():
             if module.syntax_error is not None:
-                # surface unparseable files once, through whatever rule
-                # sees them first; the finding carries the parser message
+                # every file-scope rule reports an unparseable file, since
+                # none of them could check it; the finding carries the
+                # parser message
                 yield Finding(
                     rule=self.id,
-                    severity="error",
                     path=module.rel,
                     line=1,
                     col=0,
@@ -62,29 +57,15 @@ class Rule:
                 continue
             yield from self.check(module, index)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "id": self.id,
-            "name": self.name,
-            "severity": self.severity,
-            "autofixable": self.autofixable,
-            "scope": self.scope,
-            "description": self.description,
-        }
-
 
 def rule(
     id: str,
     name: str,
     *,
-    severity: str = "error",
-    autofixable: bool = False,
     scope: str = "file",
     description: str,
 ) -> Callable[[Callable[..., Iterable[Finding]]], Callable[..., Iterable[Finding]]]:
     """Decorator registering a check function as a :class:`Rule`."""
-    if severity not in ("error", "warning"):
-        raise ValueError(f"bad severity {severity!r}")
     if scope not in ("file", "repo"):
         raise ValueError(f"bad scope {scope!r}")
 
@@ -92,13 +73,7 @@ def rule(
         if id in _REGISTRY:
             raise ValueError(f"duplicate rule id {id}")
         _REGISTRY[id] = Rule(
-            id=id,
-            name=name,
-            severity=severity,
-            autofixable=autofixable,
-            scope=scope,
-            description=description,
-            check=fn,
+            id=id, name=name, scope=scope, description=description, check=fn
         )
         return fn
 
@@ -124,27 +99,15 @@ def get_rule(rule_id: str) -> Rule:
 # --------------------------------------------------------------------- #
 
 
-def finding(rule_obj_id: str, severity: str, module: ModuleInfo, node: ast.AST,
-            message: str) -> Finding:
+def finding(rule_id: str, module: ModuleInfo, node: ast.AST, message: str) -> Finding:
     """A finding anchored at an AST node of ``module``."""
     return Finding(
-        rule=rule_obj_id,
-        severity=severity,
+        rule=rule_id,
         path=module.rel,
         line=getattr(node, "lineno", 1),
         col=getattr(node, "col_offset", 0),
         message=message,
     )
-
-
-def call_name(node: ast.Call) -> str:
-    """The last path component of a call target (``a.b.c()`` -> ``c``)."""
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
 
 
 def dotted_name(node: ast.expr) -> str:
@@ -157,36 +120,3 @@ def dotted_name(node: ast.expr) -> str:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return ""
-
-
-def str_constants_compared_to(tree: ast.AST, variable: str) -> Dict[str, int]:
-    """String constants an ``if variable == "..."`` chain compares against.
-
-    Returns ``{constant: line}``; also picks up
-    ``variable.startswith("prefix:")`` (recorded without the colon) —
-    together these cover the dispatch idiom of the spec grammars and the
-    engine seam.
-    """
-    out: Dict[str, int] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Compare):
-            operands = [node.left, *node.comparators]
-            names = {o.id for o in operands if isinstance(o, ast.Name)}
-            if variable not in names:
-                continue
-            for o in operands:
-                if isinstance(o, ast.Constant) and isinstance(o.value, str):
-                    out.setdefault(o.value, o.lineno)
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "startswith"
-                and isinstance(func.value, ast.Name)
-                and func.value.id == variable
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                out.setdefault(node.args[0].value.rstrip(":"), node.lineno)
-    return out

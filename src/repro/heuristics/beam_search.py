@@ -42,7 +42,7 @@ class BeamResult:
 
 def _cost_of(pebbler: OnlinePebbler) -> Fraction:
     costs = pebbler.instance.costs
-    from ..core.moves import Compute, Delete, Load, Store
+    from ..core.moves import Compute, Load, Store
 
     total = Fraction(0)
     for m in pebbler.moves:

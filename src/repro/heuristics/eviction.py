@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..core.dag import Node
 

@@ -144,7 +144,7 @@ def greedy_pebble(
         cost = Fraction(0)
         for move in schedule:
             # untrusted fast path: price moves directly
-            from ..core.moves import Compute, Delete, Load, Store
+            from ..core.moves import Compute, Load, Store
 
             costs = instance.costs
             if isinstance(move, Load):

@@ -26,8 +26,8 @@ and nodel (the base/compcost variants need H2C gadgets and are handled by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, List, Sequence, Set, Tuple
 
 from ..core.dag import ComputationDAG, Node
 from ..core.models import Model

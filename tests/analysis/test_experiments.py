@@ -1,7 +1,7 @@
 """Pivot/compare tables over RunResult sets."""
 
 from repro.analysis import compare_results, results_table, summarize_results
-from repro.experiments import RunResult, RunStatus
+from repro.experiments import RunResult
 
 
 def result(dag="chain:3", model="oneshot", method="greedy", red=2,

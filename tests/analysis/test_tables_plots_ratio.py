@@ -1,7 +1,5 @@
 """Tests for table generation, ASCII plotting and ratio experiments."""
 
-import pytest
-
 from repro import PebblingInstance
 from repro.analysis import (
     RatioPoint,

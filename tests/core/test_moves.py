@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Compute, Delete, Load, Move, Store, move_from_tuple
+from repro import Compute, Delete, Load, Store, move_from_tuple
 from repro.core.moves import MOVE_KINDS
 
 

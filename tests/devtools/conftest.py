@@ -1,8 +1,7 @@
 """Keep the known-violation fixture trees out of pytest collection.
 
-``fixtures/`` holds deliberately broken modules (and mini repo trees
-whose files match ``test_*.py``); they are inputs to the analyzer's
-tests, not tests themselves.
+``fixtures/`` holds deliberately broken modules and a miniature repo
+tree; they are inputs to the analyzer's tests, not tests themselves.
 """
 
 collect_ignore = ["fixtures"]

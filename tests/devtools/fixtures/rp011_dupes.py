@@ -1,9 +1,9 @@
 """Known-violation fixture for RP011 (dead-dispatch-branch).
 
 The ``devtools: spec-grammar`` marker opts this module into the rule's
-scope.  Both duplicates are flat, else-less, and structurally identical
-to their first occurrence, so both findings carry a delete autofix and
-``--fix`` converges this file to clean.
+scope.  Both duplicates follow a first occurrence that returns, so
+both are dead and each finding is anchored at the duplicate ``if``
+(pinned in tests/devtools/test_rules.py).
 """
 
 

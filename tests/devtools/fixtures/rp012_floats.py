@@ -1,8 +1,8 @@
 """Known-violation fixture for RP012 (float-costs-in-kernel).
 
 The ``devtools: packed-state`` marker opts this module into the rule's
-scope.  Every offending literal is integral, so every finding carries
-an int-literal autofix and ``--fix`` converges this file to clean.
+scope.  Every offending literal is integral, so every message names
+the int literal that replaces it.
 """
 
 

@@ -1,9 +1,8 @@
 """Unit tests for the dataflow layer behind RP007, RP008 and RP011.
 
 Covers the statement-level CFG (branching, loops, abrupt exits,
-try/finally routing), reaching definitions / use-def chains, the
-repo-wide call graph with import resolution, and the
-exception-propagation fixpoint with try/except masking.
+try/finally routing), the repo-wide call graph with import resolution,
+and the exception-propagation fixpoint with try/except masking.
 """
 
 import ast
@@ -19,8 +18,7 @@ from repro.devtools.analysis import (
     class_hierarchy,
     exception_ancestors,
     exception_propagation,
-    reaching_definitions,
-    use_def,
+    stmt_bindings,
 )
 
 
@@ -32,8 +30,8 @@ def _func(source):
     )
 
 
-def _cfg(source, **kwargs):
-    return build_cfg(_func(source), **kwargs)
+def _cfg(source):
+    return build_cfg(_func(source))
 
 
 def _node_of(cfg, needle):
@@ -163,25 +161,7 @@ def test_cfg_return_routes_through_finally():
     assert CFG.EXIT in cfg.succ[close]
 
 
-def test_cfg_exception_edges_flag():
-    src = """
-        def f(x):
-            try:
-                a = risky(x)
-            except ValueError:
-                a = 0
-            return a
-    """
-    plain, with_exc = _cfg(src), _cfg(src, exception_edges=True)
-    risky_p = _node_of(plain, "a = risky")
-    handler_p = _node_of(plain, "a = 0")
-    assert handler_p not in plain.succ[risky_p]
-    risky_e = _node_of(with_exc, "a = risky")
-    handler_e = _node_of(with_exc, "a = 0")
-    assert handler_e in with_exc.succ[risky_e]
-
-
-def test_cfg_nodes_for_and_preds_are_consistent():
+def test_cfg_nodes_for_finds_the_statement():
     cfg = _cfg("""
         def f(x):
             y = x
@@ -189,66 +169,105 @@ def test_cfg_nodes_for_and_preds_are_consistent():
     """)
     y = _node_of(cfg, "y = x")
     assert cfg.nodes_for(cfg.stmts[y]) == [y]
-    assert y in cfg.preds()[_node_of(cfg, "return")]
+    assert _node_of(cfg, "return") in cfg.succ[y]
 
 
-# --------------------------------------------------------------------- #
-# reaching definitions / use-def
-# --------------------------------------------------------------------- #
-
-
-def test_reaching_definitions_params_defined_at_entry():
+def test_cfg_continue_returns_to_the_loop_head():
     cfg = _cfg("""
-        def f(x, *rest, **opts):
-            return x
+        def f(items):
+            for x in items:
+                if x:
+                    continue
+                use(x)
+            return 0
     """)
-    ins = reaching_definitions(cfg)
+    head, cont = _node_of(cfg, "for x"), _node_of(cfg, "continue")
+    assert cfg.succ[cont] == {head}
+    assert _node_of(cfg, "use(x)") not in cfg.succ[cont]
+
+
+def test_cfg_loop_else_runs_on_exhaustion_and_break_skips_it():
+    cfg = _cfg("""
+        def f(items):
+            for x in items:
+                if x:
+                    break
+            else:
+                missing()
+            return 0
+    """)
+    head, brk = _node_of(cfg, "for x"), _node_of(cfg, "break")
+    other, ret = _node_of(cfg, "missing()"), _node_of(cfg, "return")
+    assert other in cfg.succ[head]
+    assert ret not in cfg.succ[head]  # exhaustion goes through else
+    assert cfg.succ[brk] == {ret}
+
+
+def test_cfg_handlers_hang_off_the_try_statement_only():
+    cfg = _cfg("""
+        def f(conn):
+            try:
+                first = conn.recv()
+                second = conn.recv()
+            except EOFError:
+                recover()
+            return 0
+    """)
+    try_, recover = _node_of(cfg, "try:"), _node_of(cfg, "recover()")
+    first, second = _node_of(cfg, "first ="), _node_of(cfg, "second =")
+    assert cfg.succ[try_] == {first, recover}
+    assert recover not in cfg.succ[first] | cfg.succ[second]
     ret = _node_of(cfg, "return")
-    assert {("x", CFG.ENTRY), ("rest", CFG.ENTRY), ("opts", CFG.ENTRY)} <= ins[ret]
+    assert cfg.succ[second] == cfg.succ[recover] == {ret}
 
 
-def test_reaching_definitions_rebinding_kills():
+def test_cfg_match_may_take_no_case():
+    cfg = _cfg("""
+        def f(cmd):
+            match cmd:
+                case "stop":
+                    halt()
+                case _:
+                    go()
+            return 0
+    """)
+    match, ret = _node_of(cfg, "match cmd"), _node_of(cfg, "return")
+    halt, go = _node_of(cfg, "halt()"), _node_of(cfg, "go()")
+    assert cfg.succ[match] == {halt, go, ret}
+    assert cfg.succ[halt] == cfg.succ[go] == {ret}
+
+
+def test_cfg_nested_function_is_one_straight_line_node():
     cfg = _cfg("""
         def f(x):
-            x = 1
-            x = 2
-            return x
+            def inner():
+                return x
+            return inner
     """)
-    ins = reaching_definitions(cfg)
-    second = _node_of(cfg, "x = 2")
-    defs_at_return = {d for d in ins[_node_of(cfg, "return")] if d[0] == "x"}
-    assert defs_at_return == {("x", second)}
+    inner = _node_of(cfg, "def inner")
+    assert cfg.succ[inner] == {_node_of(cfg, "return inner")}
+    # the nested body belongs to the nested function's own CFG
+    inner_return = cfg.stmts[inner].body[0]
+    assert cfg.nodes_for(inner_return) == []
 
 
-def test_reaching_definitions_branches_merge():
-    cfg = _cfg("""
-        def f(c):
-            if c:
-                a = 1
-            else:
-                a = 2
-            return a
-    """)
-    ins = reaching_definitions(cfg)
-    one, two = _node_of(cfg, "a = 1"), _node_of(cfg, "a = 2")
-    defs = {d for d in ins[_node_of(cfg, "return")] if d[0] == "a"}
-    assert defs == {("a", one), ("a", two)}
-
-
-def test_use_def_chains():
-    cfg = _cfg("""
-        def f(c):
-            a = 1
-            if c:
-                a = 2
-            b = a + 1
-            return b
-    """)
-    chains = use_def(cfg)
-    use = _node_of(cfg, "b = a + 1")
-    assert chains[use]["a"] == {_node_of(cfg, "a = 1"), _node_of(cfg, "a = 2")}
-    test = _node_of(cfg, "if c")
-    assert chains[test]["c"] == {CFG.ENTRY}
+def test_stmt_bindings_covers_each_binding_form():
+    body = ast.parse(textwrap.dedent("""
+        a, (b, *c) = value
+        d += 1
+        e: int = 0
+        for f, g in pairs: pass
+        with open(p) as h, lock: pass
+        import os.path, numpy as np
+        from x import y as z
+        def fn(): pass
+        class K: pass
+        print(unbound)
+    """)).body
+    assert [sorted(stmt_bindings(s)) for s in body] == [
+        ["a", "b", "c"], ["d"], ["e"], ["f", "g"], ["h"],
+        ["np", "os"], ["z"], ["fn"], ["K"], [],
+    ]
 
 
 # --------------------------------------------------------------------- #
@@ -332,6 +351,49 @@ def test_call_graph_resolution(mini_index):
     assert calls[f"{main}::builds"] == {f"{util}::Gadget.__init__"}
     # self.method calls resolve within the class
     assert calls[f"{util}::Gadget.run"] == {f"{util}::Gadget.spin"}
+
+
+def test_call_graph_resolves_relative_and_aliased_imports(tmp_path):
+    sub = tmp_path / "src" / "pkg" / "sub"
+    sub.mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "__init__.py").write_text(
+        "def top():\n    return 1\n", encoding="utf-8")
+    (sub / "__init__.py").write_text("", encoding="utf-8")
+    (sub / "b.py").write_text("def g():\n    return 2\n", encoding="utf-8")
+    (sub / "a.py").write_text(textwrap.dedent("""
+        import pkg.sub.b as bee
+        from . import b
+        from .b import g as gee
+        from .. import top
+
+
+        def via_module_alias():
+            return bee.g()
+
+
+        def via_relative_module():
+            return b.g()
+
+
+        def via_relative_symbol():
+            return gee()
+
+
+        def via_parent_package():
+            return top()
+
+
+        def through_a_variable(x):
+            return x.g()
+    """), encoding="utf-8")
+    calls = build_call_graph(RepoIndex(tmp_path, paths=["src"])).calls
+    a, g = "src/pkg/sub/a.py", "src/pkg/sub/b.py::g"
+    assert calls[f"{a}::via_module_alias"] == {g}
+    assert calls[f"{a}::via_relative_module"] == {g}
+    assert calls[f"{a}::via_relative_symbol"] == {g}
+    assert calls[f"{a}::via_parent_package"] == {"src/pkg/__init__.py::top"}
+    # an untyped receiver resolves to nothing rather than to a guess
+    assert calls[f"{a}::through_a_variable"] == set()
 
 
 def test_class_hierarchy_and_ancestors(mini_index):

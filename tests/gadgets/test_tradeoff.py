@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro import Model, PebblingInstance, PebblingSimulator, validate_schedule
+from repro import PebblingInstance, PebblingSimulator, validate_schedule
 from repro.gadgets import (
     opt_tradeoff_formula,
     optimal_tradeoff_schedule,

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro import PebblingInstance, PebblingSimulator, validate_schedule
+from repro import PebblingInstance, validate_schedule
 from repro.generators import grid_stencil_dag, layered_random_dag, pyramid_dag
-from repro.heuristics import fixed_order_schedule, greedy_pebble
+from repro.heuristics import greedy_pebble
 from repro.heuristics.local_search import improve_order
 from repro.solvers import solve_optimal
 

@@ -13,7 +13,6 @@ from repro.multilevel import (
     MLMove,
     MultilevelInstance,
     MultilevelSimulator,
-    MultilevelState,
     multilevel_topological_schedule,
     two_level_equivalent,
 )

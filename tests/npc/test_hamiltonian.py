@@ -3,7 +3,6 @@
 import itertools
 
 import networkx as nx
-import pytest
 
 from repro.generators import (
     UndirectedGraph,

@@ -2,8 +2,6 @@
 
 import itertools
 
-import pytest
-
 from repro.generators import (
     UndirectedGraph,
     complete_graph,

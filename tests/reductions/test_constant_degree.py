@@ -87,7 +87,6 @@ class TestCostPreservation:
     def test_hamiltonian_decision_survives_transformation(self):
         """Thm 2 at Delta = 2: threshold comparison still decides."""
         from repro.npc import has_hamiltonian_path
-        from repro.solvers.group import held_karp_min_order
 
         for seed in range(4):
             g = random_graph(5, 0.4, seed=seed)

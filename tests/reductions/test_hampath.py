@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from repro import Model, PebblingSimulator, validate_schedule
+from repro import PebblingSimulator, validate_schedule
 from repro.generators import (
     UndirectedGraph,
     complete_graph,

@@ -9,7 +9,7 @@ from repro.generators import (
     random_graph,
     star_graph,
 )
-from repro.npc import min_vertex_cover, vertex_cover_2approx
+from repro.npc import min_vertex_cover
 from repro.reductions import vertex_cover_reduction
 
 

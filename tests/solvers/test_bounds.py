@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from repro import ComputationDAG, PebblingInstance, PebblingSimulator
-from repro.generators import butterfly_dag, chain_dag, matmul_dag, pyramid_dag
+from repro.generators import chain_dag, matmul_dag, pyramid_dag
 from repro.heuristics import topological_schedule
 from repro.solvers import (
     compcost_lower_bound,

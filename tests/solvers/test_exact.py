@@ -8,7 +8,6 @@ from repro import (
     BudgetExceededError,
     ComputationDAG,
     PebblingInstance,
-    PebblingSimulator,
     validate_schedule,
 )
 from repro.generators import chain_dag, independent_tasks_dag, pyramid_dag

@@ -69,6 +69,27 @@ class TestSolve:
         assert message in str(info.value.code)
         assert "\n" not in str(info.value.code)
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["solve", "--dag", "grid:4x4", "--red", "3", "--budget", "10"],
+             "budget exhausted after 10 state expansions"),
+            (["solve", "--dag", "pyramid:3", "--red", "1"],
+             "no pebbling exists with R=1"),
+            (["greedy", "--dag", "pyramid:3", "--red", "1"],
+             "no pebbling exists with R=1"),
+            (["baseline", "--dag", "pyramid:3", "--red", "1"],
+             "no pebbling exists with R=1"),
+        ],
+        ids=["budget", "solve-infeasible", "greedy-infeasible",
+             "baseline-infeasible"],
+    )
+    def test_pebbling_error_exits_with_one_line(self, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert message in str(info.value.code)
+        assert "\n" not in str(info.value.code)
+
 
 class TestHeuristics:
     def test_greedy(self, capsys):

@@ -9,7 +9,6 @@ serialization round-trips.
 import random as _random
 from fractions import Fraction
 
-import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro import (
@@ -17,7 +16,6 @@ from repro import (
     PebblingInstance,
     PebblingSimulator,
     PebblingState,
-    Schedule,
     apply_move,
     legal_moves,
     validate_schedule,

@@ -4,7 +4,6 @@ from .ascii_plots import ascii_plot, render_table
 from .board import render_timeline
 from .experiments import (
     compare_results,
-    pivot_costs,
     results_table,
     summarize_results,
 )
@@ -14,7 +13,6 @@ from .tables import table1_rows, table2_rows
 from .tradeoff import TradeoffCurve, tradeoff_curve
 
 __all__ = [
-    "pivot_costs",
     "results_table",
     "compare_results",
     "summarize_results",

@@ -1,7 +1,7 @@
 """Tables over :class:`~repro.experiments.RunResult` sets.
 
-Pivots a flat result list into the comparison tables the benchmark
-scripts and ``repro-pebble bench compare`` print: one row per instance
+Pivots a flat result list into the comparison tables that
+``repro-pebble bench run`` and ``bench compare`` print: one row per instance
 (dag, model, R), one column per method, plus cross-artifact comparison
 (e.g. before/after an optimisation) matched on grid coordinates.
 """
@@ -13,7 +13,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..experiments.results import RunResult, RunStatus
 
-__all__ = ["pivot_costs", "results_table", "compare_results", "summarize_results"]
+__all__ = ["results_table", "compare_results", "summarize_results"]
 
 
 def _instance_label(r: RunResult) -> Tuple[str, str, Optional[int]]:
@@ -24,20 +24,6 @@ def _cell(r: RunResult) -> str:
     if r.status is RunStatus.OK:
         return str(r.cost)
     return r.status.value
-
-
-def pivot_costs(
-    results: Iterable[RunResult],
-) -> Dict[str, Dict[str, Optional[Fraction]]]:
-    """Pivot results into ``{dag: {method: exact cost}}`` (None = not ok).
-
-    The Fraction-valued counterpart of :func:`results_table`, for
-    assertion code (the benchmark scripts) rather than display.
-    """
-    out: Dict[str, Dict[str, Optional[Fraction]]] = {}
-    for r in results:
-        out.setdefault(r.dag, {})[r.method] = r.cost_fraction
-    return out
 
 
 def results_table(results: Sequence[RunResult]) -> List[Dict[str, object]]:

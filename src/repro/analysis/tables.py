@@ -30,18 +30,18 @@ def table1_rows(epsilon: Optional[Fraction] = None) -> List[Dict[str, str]]:
 
 
 #: Complexity results per model.  These columns of Table 2 are theorems,
-#: not measurements; the strings cite where this repository *demonstrates*
-#: the reduction behind each claim.
+#: not measurements; the strings cite the experiment spec that
+#: *demonstrates* the reduction behind each claim.
 _COMPLEXITY = {
-    Model.BASE: "PSPACE-complete [Demaine-Liu]; NP-hard (Thm 2, bench_thm2)",
-    Model.ONESHOT: "NP-complete (Thm 2 + Lemma 1, bench_thm2/bench_lemma1)",
+    Model.BASE: "PSPACE-complete [Demaine-Liu]; NP-hard (Thm 2, thm2-hampath)",
+    Model.ONESHOT: "NP-complete (Thm 2 + Lemma 1, thm2-hampath/lemma1-length)",
     Model.NODEL: "NP-complete (Thm 2 + Lemma 1; first shown by Demaine-Liu)",
     Model.COMPCOST: "NP-complete (Thm 2 + Lemma 1)",
 }
 
 _GREEDY_RATIO = {
     Model.BASE: "Omega(n^(1/6)) (Thm 4 adaptation, App. A.4)",
-    Model.ONESHOT: "Omega~(sqrt(n)) (Thm 4, bench_thm4)",
+    Model.ONESHOT: "Omega~(sqrt(n)) (Thm 4, thm4-greedy-grid)",
     Model.NODEL: "large Theta(1) (App. A.4)",
     Model.COMPCOST: "large Theta(1) (App. A.4)",
 }

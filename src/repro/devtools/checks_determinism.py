@@ -11,8 +11,8 @@ sources:
   global generator (``np.random.default_rng(seed)`` /
   ``RandomState(seed)`` / ``SeedSequence`` are fine);
 * **wall-clock reads** — any ``time.time()`` / ``datetime.now()`` /
-  ``utcnow()`` call (benchmarks belong in ``benchmarks/`` under
-  pytest-benchmark, which this rule does not scan), and
+  ``utcnow()`` call (timing belongs in ``perfbench/``, which this rule
+  does not scan), and
   ``perf_counter``/``monotonic`` used *inside an assertion*, which
   turns load on the CI runner into a test verdict.
 """
@@ -120,5 +120,5 @@ def check_test_determinism(
                         "RP006", module, sub,
                         f"{name or leaf}(...) inside an assert makes the "
                         f"verdict depend on runner load; measure outside "
-                        f"tier-1 (benchmarks/) or assert on counts",
+                        f"tier-1 (perfbench/) or assert on counts",
                     )

@@ -1,18 +1,18 @@
 """Named experiment specs: the registry behind ``repro-pebble bench``.
 
-The built-in specs are the declarative ports of the ``benchmarks/``
-scripts — each former hand-written loop is now one
-:class:`~repro.experiments.ExperimentSpec` here, and the script keeps
-only its assertions.  Downstream code registers its own specs with
-:func:`register_spec`.
+The built-in specs are the paper's experiments, its ablations and the
+CI smoke grids, each one :class:`~repro.experiments.ExperimentSpec`;
+``repro-pebble bench run <name>`` runs one and prints its table.
+Downstream code registers its own specs with :func:`register_spec`.
 
 Specs can also carry **assertion suites**: functions registered with
 :func:`register_check` that receive the spec's :class:`RunResult` list
 and raise :class:`AssertionError` on violation.  ``repro-pebble bench
 run`` executes them after every run (``--no-check`` skips), which is
-what turns the paper's hardness theorems — decision thresholds, the
-``2k'|VC|`` accounting, the greedy-defeating grid gap — into
-regression gates instead of print statements.
+what turns the paper's claims — Section 3's bounds, the Figure 4
+tradeoff, decision thresholds, the ``2k'|VC|`` accounting, the
+greedy-defeating grid gap — into regression gates instead of print
+statements.  Every built-in spec carries one.
 
 Examples
 --------
@@ -117,7 +117,7 @@ def all_specs(tag: Optional[str] = None) -> List[ExperimentSpec]:
 
 
 # ---------------------------------------------------------------------------
-# Built-in specs: declarative ports of the benchmarks/ scripts.
+# Built-in specs: the paper's experiments, ablations and CI smoke grids.
 # ---------------------------------------------------------------------------
 
 BUILTIN_SPECS = (
@@ -552,6 +552,110 @@ def _cell(results: List[RunResult], **coords: object) -> RunResult:
     return found[0]
 
 
+def _assert_exact_is_a_floor(results: List[RunResult]) -> None:
+    """The exact optimum is a lower bound on greedy and the baseline."""
+    for exact in _cells(results, method="exact"):
+        for method in ("greedy", "baseline"):
+            other = _cell(results, method=method, dag=exact.dag, model=exact.model)
+            assert exact.cost_fraction <= other.cost_fraction, (
+                f"{exact.dag}/{exact.model}: {method} {other.cost} beats the "
+                f"exact optimum {exact.cost}"
+            )
+
+
+def _assert_naive_bound(cells: List[RunResult]) -> None:
+    """Section 3: the naive topological strategy costs at most (2*Delta+1)*n."""
+    for r in cells:
+        bound = Fraction(r.extra["naive_bound"])
+        assert r.cost_fraction <= bound, (
+            f"{r.dag}/{r.model}: naive cost {r.cost} above (2*Delta+1)*n = {bound}"
+        )
+
+
+@register_check("smoke")
+def _check_smoke(results: List[RunResult]) -> None:
+    _assert_all_ok(results)
+    _assert_exact_is_a_floor(results)
+
+
+@register_check("sec3-bounds")
+def _check_sec3_naive_bound(results: List[RunResult]) -> None:
+    _assert_all_ok(results)
+    _assert_naive_bound(results)
+
+
+@register_check("greedy-rules")
+def _check_greedy_rules(results: List[RunResult]) -> None:
+    """No Section 8 rule beats the optimum, and on these small DAGs each
+    stays within 6*opt + 6 of it (the blow-up needs Theorem 4's
+    structure); on the uniform-indegree tasks DAG most-red and red-ratio
+    coincide."""
+    _assert_all_ok(results)
+    for exact in _cells(results, method="exact"):
+        opt = exact.cost_fraction
+        for rule in ("most-red-inputs", "fewest-blue-inputs", "red-ratio"):
+            cost = _cell(results, method=f"greedy:{rule}", dag=exact.dag).cost_fraction
+            assert opt <= cost <= 6 * opt + 6, (
+                f"{exact.dag}: {rule} costs {cost}, outside [opt, 6*opt + 6], opt = {opt}"
+            )
+    most_red = _cell(results, method="greedy:most-red-inputs", dag="tasks:3x2")
+    red_ratio = _cell(results, method="greedy:red-ratio", dag="tasks:3x2")
+    assert most_red.cost_fraction == red_ratio.cost_fraction, (
+        f"tasks:3x2: most-red {most_red.cost} != red-ratio {red_ratio.cost}"
+    )
+
+
+@register_check("eviction")
+def _check_eviction_belady_wins(results: List[RunResult]) -> None:
+    """Belady is optimal for a fixed order: no other policy beats it."""
+    _assert_all_ok(results)
+    for belady in _cells(results, method="fixed-order:belady"):
+        for other in _cells(
+            results, dag=belady.dag, model=belady.model, red_limit=belady.red_limit
+        ):
+            assert belady.cost_fraction <= other.cost_fraction, (
+                f"{belady.dag}: {other.method} {other.cost} beats Belady {belady.cost}"
+            )
+
+
+@register_check("fig4-tradeoff")
+def _check_fig4_tradeoff(results: List[RunResult]) -> None:
+    """Figure 4 on the Figure 3 DAG (two control groups of d, a chain of
+    n): free at R = 2d+2, about 2(d-1)n at R = d+2, close to the maximal
+    2n saved per extra pebble, and within O(d) of the paper's 2(d-i)n."""
+    from ..analysis.tradeoff import TradeoffCurve
+
+    _assert_all_ok(results)
+    (dag,) = {r.dag for r in results}
+    D, N = (int(x) for x in dag.partition(":")[2].split("x"))
+    curve = TradeoffCurve(tuple(sorted((r.red_limit, r.cost_fraction) for r in results)))
+    assert curve.cost_at(2 * D + 2) == 0, f"R = 2d+2 costs {curve.cost_at(2 * D + 2)}"
+    assert curve.cost_at(D + 2) >= 2 * (D - 1) * (N - 4), f"R = d+2: {curve.cost_at(D + 2)}"
+    assert curve.is_monotone_decreasing(), f"not monotone in R: {curve.costs}"
+    assert curve.respects_max_drop_law(2 * D + N), f"a drop above 2n: {curve.drops()}"
+    drops = curve.drops()
+    assert all(2 * N - 10 <= d <= 2 * N for d in drops), f"drops {drops} outside [2n-10, 2n]"
+    for r in results:
+        formula = Fraction(r.extra["paper_formula"])
+        assert abs(r.cost_fraction - formula) <= 5 * D + 5, (
+            f"R={r.red_limit}: cost {r.cost} further than 5d+5 from 2(d-i)n = {formula}"
+        )
+
+
+@register_check("beam-ablation")
+def _check_beam_ablation(results: List[RunResult]) -> None:
+    """A width-16 beam recovers the exact optimum on the classic kernels,
+    and widening the beam never hurts there."""
+    _assert_all_ok(results)
+    for exact in _cells(results, method="exact"):
+        beam = {
+            w: _cell(results, method=f"beam:{w}", dag=exact.dag).cost_fraction
+            for w in (1, 4, 16)
+        }
+        assert beam[16] == exact.cost_fraction, f"{exact.dag}: beam:16 {beam[16]} != {exact.cost}"
+        assert beam[16] <= beam[4] <= beam[1], f"{exact.dag}: not monotone in width: {beam}"
+
+
 @register_check("thm2-hampath")
 def _check_thm2_decides(results: List[RunResult]) -> None:
     _assert_all_ok(results)
@@ -813,16 +917,8 @@ def _check_table2(results: List[RunResult]) -> None:
                 f"{exact.dag}/{exact.model}: optimal length {exact.n_moves} "
                 f"exceeds the Lemma 1 bound {length_bound}"
             )
-        greedy = _cell(results, method="greedy", dag=exact.dag, model=exact.model)
-        assert greedy.cost_fraction >= exact.cost_fraction, (
-            f"{exact.dag}/{exact.model}: greedy beats the exact optimum"
-        )
-        baseline = _cell(results, method="baseline", dag=exact.dag, model=exact.model)
-        assert (
-            exact.cost_fraction
-            <= baseline.cost_fraction
-            <= Fraction(baseline.extra["naive_bound"])
-        ), f"{exact.dag}/{exact.model}: baseline outside [opt, (2D+1)n]"
+    _assert_exact_is_a_floor(results)
+    _assert_naive_bound(_cells(results, method="baseline"))
 
 
 @register_check("engines-smoke")
@@ -907,17 +1003,19 @@ def _check_portfolio_consistency(results: List[RunResult]) -> None:
         assert all(v >= r.cost_fraction for v in members.values())
 
 
-def _check_hong_kung_floor(results: List[RunResult]) -> None:
-    """Heuristic cost >= the Hong-Kung curve (matmul/FFT cells).
+def _check_hong_kung_floor(
+    results: List[RunResult], method: str = "heur:portfolio"
+) -> None:
+    """``method``'s cost >= the Hong-Kung curve (matmul/FFT cells).
 
-    The same convention as ``benchmarks/bench_hong_kung.py``: the game's
-    measured traffic must clear ``bound - R`` (the curves' additive
-    constants differ from the simulator's counting by at most R).
+    The game's measured traffic must clear ``bound - R`` (the curves'
+    additive constants differ from the simulator's counting by at most
+    R).  Portfolio cells also report the curve they are held against.
     """
     from ..solvers.bounds import fft_io_lower_bound, matmul_io_lower_bound
 
     checked = 0
-    for r in _cells(results, method="heur:portfolio"):
+    for r in _cells(results, method=method):
         kind, _, arg = r.dag.partition(":")
         if kind == "matmul":
             bound = matmul_io_lower_bound(int(arg.split(":")[0]), r.red_limit)
@@ -926,32 +1024,48 @@ def _check_hong_kung_floor(results: List[RunResult]) -> None:
         else:
             continue
         checked += 1
-        assert "hong_kung_bound" in r.extra, f"{r.dag}: no yardstick reported"
-        assert float(r.extra["hong_kung_bound"]) == bound
+        if method == "heur:portfolio":
+            assert "hong_kung_bound" in r.extra, f"{r.dag}: no yardstick reported"
+            assert float(r.extra["hong_kung_bound"]) == bound
         assert float(r.cost_fraction) >= bound - r.red_limit, (
-            f"{r.dag}/R={r.red_limit}: heuristic cost {r.cost} below the "
+            f"{r.dag}/R={r.red_limit}: {method} cost {r.cost} below the "
             f"Hong-Kung floor {bound} - R"
         )
     assert checked, "no matmul/butterfly cells to hold against the curve"
 
 
-def _sweep_costs(results: List[RunResult], dag: str) -> List[Fraction]:
-    """Portfolio costs for ``dag`` in ascending red-limit order."""
+def _sweep_costs(
+    results: List[RunResult], dag: str, method: str = "heur:portfolio"
+) -> List[Fraction]:
+    """``method``'s costs for ``dag`` in ascending red-limit order."""
     rows = sorted(
-        _cells(results, method="heur:portfolio", dag=dag),
+        _cells(results, method=method, dag=dag),
         key=lambda r: r.red_limit,
     )
     assert len(rows) >= 2, f"{dag}: expected an R sweep, got {len(rows)} cell(s)"
     return [r.cost_fraction for r in rows]
 
 
-def _assert_relieved_by_cache(results: List[RunResult], dag: str) -> None:
-    """More red pebbles never hurt the portfolio (its belady member is
-    Belady-optimal for the fixed order, hence monotone in R)."""
-    costs = _sweep_costs(results, dag)
+def _assert_relieved_by_cache(
+    results: List[RunResult], dag: str, method: str = "heur:portfolio"
+) -> None:
+    """More red pebbles never hurt ``method``: Belady eviction is optimal
+    for a fixed order, hence monotone in R, and the portfolio has a
+    belady member."""
+    costs = _sweep_costs(results, dag, method)
     assert costs == sorted(costs, reverse=True), (
-        f"{dag}: portfolio cost not non-increasing in R: {costs}"
+        f"{dag}: {method} cost not non-increasing in R: {costs}"
     )
+
+
+@register_check("hong-kung")
+def _check_hong_kung(results: List[RunResult]) -> None:
+    """Belady traffic on matmul and FFT falls with the cache size and
+    stays above the Hong-Kung reference curves."""
+    _assert_all_ok(results)
+    _check_hong_kung_floor(results, "fixed-order:belady")
+    for dag in ("matmul:4", "butterfly:4"):
+        _assert_relieved_by_cache(results, dag, "fixed-order:belady")
 
 
 @register_check("workloads-smoke")

@@ -11,8 +11,8 @@ statement used across the literature:
   sink, asymptotically irrelevant in all constructions.
 
 Both transforms are implemented here so the equivalences can be exercised
-empirically (see ``tests/gadgets/test_transforms.py`` and the Appendix C
-checks in the benchmark suite).
+empirically (see ``tests/gadgets/test_transforms.py`` and the checks of
+the ``appendix-c`` experiment spec).
 """
 
 from __future__ import annotations

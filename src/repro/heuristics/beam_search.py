@@ -8,9 +8,9 @@ is the exact accumulated cost plus an optimistic remaining-work estimate
 greedy as the width shrinks and into exhaustive order enumeration as it
 grows.
 
-This is a practical heuristic, not a paper artifact: the benchmarks use
-it to show how much of the Theorem 4 gap sheer search width can and
-cannot buy back.
+This is a practical heuristic, not a paper artifact: the
+``beam-ablation`` experiment spec and the beam tests use it to show how
+much of the Theorem 4 gap sheer search width can and cannot buy back.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ The paper's three natural greedy rules select, among the *ready* nodes
 * the largest red-pebbles-to-inputs ratio (:attr:`GreedyRule.RED_RATIO`).
 
 On uniform-indegree DAGs (all the paper's constructions) the three rules
-coincide (Section 8); tests pin this, and an ablation benchmark shows
-where they diverge on irregular DAGs.
+coincide (Section 8); tests pin this, and the ``greedy-rules``
+experiment spec shows where they diverge on irregular DAGs.
 
 Tie-breaking.  The paper argues at input-group granularity ("the only
 already enabled input group that has a red pebble on one of its nodes"):

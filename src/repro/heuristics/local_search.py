@@ -10,7 +10,8 @@ cost.
 
 This is an honest heuristic: Theorem 4's grid still defeats it from the
 greedy starting point unless the search is allowed enough moves to
-reassemble whole diagonals — which the ablation benchmark demonstrates.
+reassemble whole diagonals — which ``tests/heuristics/test_local_search.py``
+demonstrates on three grid sizes.
 """
 
 from __future__ import annotations

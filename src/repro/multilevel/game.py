@@ -338,7 +338,7 @@ class MultilevelResult:
 def two_level_equivalent(instance: MultilevelInstance) -> PebblingInstance:
     """The core-engine (base model) instance matching a 2-level hierarchy
     with unit transfer costs.  Raises when the hierarchy is not of that
-    shape.  Used by the equivalence tests and benchmarks."""
+    shape.  Used by the equivalence tests."""
     spec = instance.spec
     if spec.levels != 2:
         raise ValueError("only 2-level hierarchies have a red-blue equivalent")

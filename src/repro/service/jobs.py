@@ -57,6 +57,7 @@ class QueueStats:
     batches: int = 0         # backend dispatches
     errors: int = 0          # cells finishing status=error
     timeouts: int = 0        # cells finishing status=timeout
+    store_errors: int = 0    # store.put calls that raised
     largest_batch: int = 0
 
     def to_dict(self) -> Dict[str, int]:
@@ -220,6 +221,6 @@ class JobQueue:
                     try:
                         self.store.put(result)
                     except Exception:  # a broken store must not eat results
-                        pass
+                        self.stats.store_errors += 1
                 if not b.future.done():
                     b.future.set_result(result)

@@ -1,8 +1,9 @@
 """Bounds on the optimal pebbling cost.
 
 Implements the elementary bounds of Section 3 of the paper plus the
-classic Hong-Kung style I/O lower bounds for matmul/FFT DAGs (used as
-reference curves by ``benchmarks/bench_hong_kung.py``), and
+classic Hong-Kung style I/O lower bounds for matmul/FFT DAGs (the
+reference curves that the ``hong-kung`` and kernel experiment specs'
+checks hold measured traffic against), and
 :func:`exhaustive_cost_bounds`, which brackets the optimum by a truncated
 run of the shared bitmask search kernel (:mod:`repro.solvers.kernel`)
 when an instance is too large to solve exactly.

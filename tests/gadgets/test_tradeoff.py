@@ -85,10 +85,14 @@ class TestSchedules:
         assert measured <= formula
 
     def test_base_is_degenerate_zero(self):
-        td = tradeoff_dag(3, 15)
-        sched = optimal_tradeoff_schedule(td, 5, "base")
-        inst = PebblingInstance(dag=td.dag, model="base", red_limit=5)
-        assert PebblingSimulator(inst).run(sched, require_complete=True).cost == 0
+        """Section 4: base recomputes sources for free, so there is no
+        tradeoff at all, also across the fig4-tradeoff spec's sweep."""
+        for d, n, r_values in ((3, 15, [5]), (6, 40, range(8, 15))):
+            td = tradeoff_dag(d, n)
+            for R in r_values:
+                sched = optimal_tradeoff_schedule(td, R, "base")
+                inst = PebblingInstance(dag=td.dag, model="base", red_limit=R)
+                assert PebblingSimulator(inst).run(sched, require_complete=True).cost == 0, (d, R)
 
     def test_oneshot_linear_decrease_with_r(self):
         """Figure 4: the optimum drops by ~2n per extra red pebble."""

@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro import PebblingInstance, PebblingSimulator, validate_schedule
+from repro import (
+    InfeasibleInstanceError,
+    PebblingInstance,
+    PebblingSimulator,
+    validate_schedule,
+)
 from repro.generators import (
+    binary_tree_dag,
     butterfly_dag,
     chain_dag,
     grid_stencil_dag,
@@ -37,6 +43,23 @@ class TestBaseline:
         report = validate_schedule(inst, sched)
         assert report.ok, report.violations[:3]
         assert report.cost <= upper_bound_naive(dag, model)
+
+    @pytest.mark.parametrize(
+        "dag",
+        [pyramid_dag(4), grid_stencil_dag(4, 4), butterfly_dag(3), binary_tree_dag(8)],
+        ids=["pyramid4", "grid4x4", "butterfly3", "tree8"],
+    )
+    def test_feasibility_frontier_is_delta_plus_one(self, dag):
+        """Section 3: R = Delta is infeasible, and at R = Delta + 1 the
+        naive strategy completes."""
+        with pytest.raises(InfeasibleInstanceError):
+            PebblingInstance(dag=dag, model="oneshot", red_limit=dag.max_indegree)
+        inst = PebblingInstance(
+            dag=dag, model="oneshot", red_limit=dag.max_indegree + 1
+        )
+        assert PebblingSimulator(inst).run(
+            topological_schedule(inst), require_complete=True
+        ).complete
 
     def test_works_at_minimum_red_limit(self):
         dag = pyramid_dag(4)

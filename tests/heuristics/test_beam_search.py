@@ -10,6 +10,7 @@ from repro.generators import (
     pyramid_dag,
 )
 from repro.heuristics import beam_search_pebble
+from repro.reductions import greedy_grid_construction
 from repro.solvers import solve_optimal
 
 
@@ -54,6 +55,13 @@ class TestBeamSearch:
             beam_search_pebble(inst, beam_width=w).cost for w in (1, 4, 16)
         ]
         assert costs[2] <= costs[1] <= costs[0]
+
+    def test_theorem4_grid_defeats_a_wide_beam(self):
+        """The Theorem 4 grid hides the good orders behind dependencies:
+        even a width-16 beam stays above the diagonal sweep's optimum."""
+        c = greedy_grid_construction(3, 6)
+        optimal = c.cost_of_sequence(c.optimal_sequence())
+        assert beam_search_pebble(c.instance(), beam_width=16).cost > optimal
 
     def test_deterministic(self):
         inst = make(grid_stencil_dag(3, 4), 3)

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro import PebblingInstance, validate_schedule
+from repro import PebblingInstance, PebblingSimulator, validate_schedule
 from repro.generators import grid_stencil_dag, layered_random_dag, pyramid_dag
 from repro.heuristics import greedy_pebble
 from repro.heuristics.local_search import improve_order
+from repro.reductions import greedy_grid_construction, grid_group_greedy
 from repro.solvers import solve_optimal
 
 
@@ -76,6 +77,24 @@ class TestImproveOrder:
         )
         opt = solve_optimal(inst, return_schedule=False).cost
         assert opt <= improved.cost <= greedy.cost
+
+    def test_cannot_close_the_theorem4_gap(self):
+        """Hill climbing improves the greedy order on the Theorem 4 grid
+        but cannot reassemble whole diagonals: the gap to the optimum
+        survives and keeps growing with the instance."""
+        gaps = []
+        for ell, kc in ((3, 6), (4, 10), (5, 14)):
+            c = greedy_grid_construction(ell, kc)
+            inst = c.instance()
+            group_sched, _ = grid_group_greedy(c)
+            group = PebblingSimulator(inst).run(group_sched, require_complete=True).cost
+            greedy = greedy_pebble(inst)
+            ls = improve_order(inst, order=greedy.order, max_evaluations=300, seed=1).cost
+            opt = c.cost_of_sequence(c.optimal_sequence())
+            assert opt <= ls <= group, (ell, kc)
+            gaps.append(ls / opt)
+        assert gaps[-1] > 1.5
+        assert gaps[-1] >= gaps[0]
 
     def test_deterministic_per_seed(self):
         inst = make(grid_stencil_dag(4, 4), 3)

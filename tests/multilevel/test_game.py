@@ -189,6 +189,29 @@ class TestBaselineStrategy:
         ).cost
         assert near < far
 
+    def test_interposed_cache_absorbs_the_traffic(self):
+        """A cheap level between fast memory and an expensive far level
+        holds the working set: parking there costs under a tenth of the
+        two-level hierarchy's traffic."""
+        dag = grid_stencil_dag(4, 4)
+
+        def topo_cost(spec, **kw):
+            inst = MultilevelInstance(dag=dag, spec=spec)
+            return MultilevelSimulator(inst).run(
+                multilevel_topological_schedule(inst, **kw), require_complete=True
+            ).cost
+
+        two_level = topo_cost(
+            HierarchySpec(capacities=(3, None), transfer_costs=(Fraction(100),))
+        )
+        spec = HierarchySpec(
+            capacities=(3, 64, None), transfer_costs=(Fraction(1), Fraction(100))
+        )
+        three_far = topo_cost(spec)
+        three_near = topo_cost(spec, park_level=1)
+        assert three_near < three_far
+        assert three_near < two_level / 10
+
     def test_incomplete_raises(self):
         dag = chain_dag(3)
         inst = MultilevelInstance(dag=dag, spec=spec3())
@@ -226,25 +249,25 @@ class TestTwoLevelEquivalence:
         )
         from repro.heuristics import fixed_order_schedule
 
-        dag = pyramid_dag(3)
-        ml, rb = self.make_pair(dag, 3)
-        rb_sched = fixed_order_schedule(rb)
-        translation = []
-        for move in rb_sched:
-            if isinstance(move, RBCompute):
-                translation.append(MLCompute(move.node))
-            elif isinstance(move, RBStore):
-                translation.append(MLMove(move.node, 1))
-            elif isinstance(move, RBLoad):
-                translation.append(MLMove(move.node, 0))
-            else:
-                assert isinstance(move, RBDelete)
-                translation.append(MLDelete(move.node))
-        rb_cost = PebblingSimulator(rb).run(rb_sched, require_complete=True).cost
-        ml_cost = MultilevelSimulator(ml).run(
-            translation, require_complete=True
-        ).cost
-        assert rb_cost == ml_cost
+        for dag in (pyramid_dag(3), grid_stencil_dag(4, 4)):
+            ml, rb = self.make_pair(dag, 3)
+            rb_sched = fixed_order_schedule(rb)
+            translation = []
+            for move in rb_sched:
+                if isinstance(move, RBCompute):
+                    translation.append(MLCompute(move.node))
+                elif isinstance(move, RBStore):
+                    translation.append(MLMove(move.node, 1))
+                elif isinstance(move, RBLoad):
+                    translation.append(MLMove(move.node, 0))
+                else:
+                    assert isinstance(move, RBDelete)
+                    translation.append(MLDelete(move.node))
+            rb_cost = PebblingSimulator(rb).run(rb_sched, require_complete=True).cost
+            ml_cost = MultilevelSimulator(ml).run(
+                translation, require_complete=True
+            ).cost
+            assert rb_cost == ml_cost
 
     def test_rejects_non_two_level(self):
         ml = MultilevelInstance(dag=pyramid_dag(2), spec=spec3())

@@ -197,6 +197,26 @@ class TestErrorPaths:
 
         run(scenario())
 
+    def test_failed_store_write_is_counted(self):
+        class BrokenStore(MemoryResultStore):
+            def put(self, result):
+                raise OSError("disk full")
+
+        async def scenario():
+            async with ServiceHarness(store=BrokenStore()) as h:
+                query = {"dag": "chain:4", "method": "baseline"}
+                first = await h.call("query", query)
+                assert first["status"] == "ok" and not first["cached"]
+                stats = await h.call("stats")
+                assert stats["queue"]["store_errors"] == 1
+                again = await h.call("query", query)
+                assert again["cost"] == first["cost"] and not again["cached"]
+                stats = await h.call("stats")
+                assert stats["queue"]["executed"] == 2
+                assert stats["queue"]["cache_hits"] == 0
+
+        run(scenario())
+
     def test_unknown_route_and_wrong_verb(self):
         async def scenario():
             async with ServiceHarness() as h:

@@ -87,6 +87,34 @@ class TestHandSolvedInstances:
         oneshot = opt(dag, "oneshot", 3).cost
         assert base <= oneshot
 
+    def test_compcost_epsilon_crossover(self):
+        """compcost's recompute/reorder crossover.  u ends a 4-compute
+        chain and feeds s1 and z2; z1's four inputs exclude u, so at R = 5
+        computing z1 flushes u.  Twelve computes are mandatory, and u's
+        second use costs the cheaper of recomputing the chain (4*eps) and
+        computing z2 before z1, which pays one store for the z2 sink (1).
+        Spilling u (store + load = 2) is never optimal.  The paper's
+        eps = 1/100 sits deep in the recompute regime."""
+        dag = ComputationDAG(
+            [
+                ("c0", "c1"), ("c1", "c2"), ("c2", "u"), ("u", "s1"),
+                ("p1", "z1"), ("q1", "z1"), ("r1", "z1"), ("s1", "z1"),
+                ("u", "z2"), ("p2", "z2"), ("q2", "z2"),
+            ]
+        )
+        epsilons = [Fraction(1, 100), Fraction(1, 10), Fraction(1, 5), Fraction(2, 5),
+                    Fraction(3, 5), Fraction(3, 4), Fraction(99, 100)]
+        # the sweep crosses eps = 1/4, so both policies are optimal somewhere
+        assert {4 * eps < 1 for eps in epsilons} == {True, False}
+        costs = []
+        for eps in epsilons:
+            inst = PebblingInstance(dag=dag, model="compcost", red_limit=5, epsilon=eps)
+            cost = solve_optimal(inst, engine="numpy", return_schedule=False).cost
+            assert cost == 12 * eps + min(4 * eps, Fraction(1)), eps
+            assert cost < 12 * eps + 2, eps
+            costs.append(cost)
+        assert costs == sorted(costs)
+
     def test_empty_dag(self):
         res = opt(ComputationDAG(), "oneshot", 1)
         assert res.cost == 0 and len(res.schedule) == 0
@@ -119,9 +147,9 @@ class TestSolverContracts:
         """Section 5: opt(R-1) <= opt(R) + 2n."""
         dag = pyramid_dag(2)
         n = dag.n_nodes
-        c4 = opt(dag, "oneshot", 4, return_schedule=False).cost
-        c3 = opt(dag, "oneshot", 3, return_schedule=False).cost
-        assert c3 <= c4 + 2 * n
+        cost = {R: opt(dag, "oneshot", R, return_schedule=False).cost for R in (3, 4, 5)}
+        for R in (3, 4):
+            assert cost[R] <= cost[R + 1] + 2 * n, R
 
     @pytest.mark.parametrize("model", ["base", "oneshot", "nodel", "compcost"])
     def test_model_cost_orderings(self, model):

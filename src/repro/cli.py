@@ -108,6 +108,7 @@ def cmd_solve(args) -> int:
         raise SystemExit(str(exc)) from None
     print(f"instance : {inst.describe()}")
     print(f"engine   : {args.engine}")
+    print(f"heuristic: {result.heuristic}")
     print(f"optimal  : {result.cost}")
     print(f"length   : {result.length} moves")
     print(f"expanded : {result.expanded} states")

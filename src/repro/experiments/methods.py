@@ -26,13 +26,18 @@ name                     behaviour
                          cost, and — for ``matmul:*`` / ``butterfly:*``
                          DAG specs — the Hong-Kung reference lower bound
                          in ``extra`` as the quality yardstick
-``exact``                optimal cost via the bitmask search kernel
+``exact``                optimal cost via the bitmask search kernel: A*
+                         under the cost model's admissible bound, named
+                         as ``heuristic`` in ``extra`` beside ``engine``
 ``exact:legacy``         optimal cost via the frozenset reference solver
-                         (cross-checking / debugging the kernel)
+                         (uniform-cost; cross-checking / debugging the
+                         kernel)
 ``exact:numpy``          optimal cost via the batched numpy frontier
-                         engine (:mod:`repro.solvers.batch_kernel`)
+                         engine (:mod:`repro.solvers.batch_kernel`), under
+                         the same bound
 ``idastar``              optimal cost by iterative-deepening A* (the
-                         structurally independent second exact solver)
+                         structurally independent second exact solver),
+                         under the same bound
 ``tradeoff-opt``         the provably optimal Figure 3/4 alternating
                          strategy (requires a ``tradeoff:DxN`` DAG spec)
 ``ml:exact``             optimal cost of the *multi-level* game
@@ -214,7 +219,11 @@ def _run_exact(engine: str) -> MethodFn:
         return MethodOutcome(
             cost=result.cost,
             n_moves=result.length,
-            extra={"expanded": str(result.expanded), "engine": engine},
+            extra={
+                "expanded": str(result.expanded),
+                "engine": engine,
+                "heuristic": result.heuristic,
+            },
         )
 
     return run
@@ -227,7 +236,7 @@ def _run_idastar(inst: PebblingInstance, task: TaskSpec) -> MethodOutcome:
     return MethodOutcome(
         cost=result.cost,
         n_moves=result.length,
-        extra={"expanded": str(result.expanded)},
+        extra={"expanded": str(result.expanded), "heuristic": result.heuristic},
     )
 
 

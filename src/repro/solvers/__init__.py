@@ -2,8 +2,10 @@
 
 The exact solvers (``solve_optimal``, ``solve_optimal_idastar``) and the
 ``exhaustive_cost_bounds`` helper all run on the shared bitmask search
-kernel in :mod:`repro.solvers.kernel`; ``solve_optimal_legacy`` keeps the
-original frozenset search as the reference oracle.
+kernel in :mod:`repro.solvers.kernel`, as A* under the cost model's
+admissible bound by default (``heuristic=None`` for uniform-cost search);
+``solve_optimal_legacy`` keeps the original frozenset uniform-cost search
+as the reference oracle.
 ``solve_multilevel_optimal`` extends the same packed-state machinery to
 the multi-level game of :mod:`repro.multilevel`.
 
@@ -26,7 +28,6 @@ from .bounds import (
 )
 from .exact import (
     OptimalResult,
-    compcost_heuristic,
     decide_pebbling,
     solve_optimal,
     solve_optimal_legacy,
@@ -70,7 +71,6 @@ __all__ = [
     "multilevel_cost_bounds",
     "MultilevelOptimalResult",
     "decide_pebbling",
-    "compcost_heuristic",
     "OptimalResult",
     "exhaustive_cost_bounds",
     "held_karp_min_order",

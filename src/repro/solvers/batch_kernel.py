@@ -21,7 +21,10 @@ stage as vectorized bitwise operations:
 * **delete-normalized successors**: the fused ``Delete(x); move``
   alphabet of the kernel docstring, vectorized over the batch for each
   deleted bit ``x`` — the state graph searched is identical to the
-  python kernel's, which is what makes differential testing meaningful.
+  python kernel's, which is what makes differential testing meaningful;
+* **the same bound**: the kernel's default admissible bound, evaluated
+  for a whole batch of successors at once, whose dead rows are dropped
+  before they reach the store.
 
 Exactness is preserved end to end: masks are uint64 (DAGs up to 64
 nodes — beyond that the arbitrary-precision ``bits`` engine takes over),
@@ -58,7 +61,6 @@ from .kernel import Expander, KernelResult, trace_codes
 __all__ = [
     "astar_batch",
     "popcount_u64",
-    "register_batch_heuristic",
 ]
 
 _LOAD, _STORE, _COMPUTE = 0, 1, 2
@@ -185,73 +187,56 @@ class _BatchContext:
 
 
 # --------------------------------------------------------------------- #
-# batched heuristics
+# the batched bound
 # --------------------------------------------------------------------- #
 
-#: compilers turning a PebblingState-level heuristic into a batched one;
-#: ``compiler(ctx)`` returns ``h(red, blue, computed) -> int64 array``
-#: in scaled integer cost units.
-_BATCH_HEURISTICS: Dict[object, Callable] = {}
+#: the batched bound's value on a dead row (a real bound is never negative)
+DEAD = -1
 
 
-def register_batch_heuristic(heuristic: object, compiler: Callable) -> None:
-    """Register a batched compiler for a PebblingState-level heuristic.
+def _compile_bound(ctx: _BatchContext, terms: Tuple[str, ...]) -> Optional[Callable]:
+    """Vectorized twin of :func:`repro.solvers.kernel.compile_bound`.
 
-    Mirrors :func:`repro.solvers.kernel.register_bit_heuristic`; without
-    a batched compiler the engine falls back to evaluating the bit-native
-    (or decoded) heuristic state by state — exact, but unvectorized.
+    ``h(red, blue, computed)`` returns one int64 per row: the scalar
+    bound of that state, or :data:`DEAD` where the scalar bound returns
+    None.  Returns None when ``terms`` is empty.
     """
-    _BATCH_HEURISTICS[heuristic] = compiler
-
-
-def _compile_batch_heuristic(ctx: _BatchContext, heuristic: object) -> Optional[Callable]:
-    if heuristic is None:
+    if not terms:
         return None
-    compiler = _BATCH_HEURISTICS.get(heuristic)
-    if compiler is not None:
-        return compiler(ctx)
-    scalar = kernel._compile_heuristic(ctx.ex, heuristic)
-    n = ctx.n
-
-    def h(red: "np.ndarray", blue: "np.ndarray", computed: "np.ndarray") -> "np.ndarray":
-        values = [
-            scalar((r << 2 * n) | (b << n) | c)
-            for r, b, c in zip(red.tolist(), blue.tolist(), computed.tolist())
-        ]
-        return np.array(values, dtype=np.int64)
-
-    return h
-
-
-def _compile_compcost_batch(ctx: _BatchContext) -> Callable:
-    """Vectorized twin of the compcost heuristic's bit-native compiler."""
     ex = ctx.ex
     layout = ex.layout
-    compute_i = ex.compute_i
-    nonsource = _U64(layout.full_mask & ~layout.source_mask)
-    closures = [
-        (ctx.bits[s], _U64(layout.ancestor_closure_of_sink(s)))
-        for s in iter_bits(layout.sink_mask)
-    ]
+    sinks = list(iter_bits(ex.sink_mask))
+    sink_bits = ctx.bits[sinks]
+    closures = np.array(
+        [layout.ancestor_closure_of_sink(s) for s in sinks], dtype=_U64
+    )
+    nonsource = _U64(ex.full_mask & ~layout.source_mask)
+    compute_i = ex.compute_i if "computes" in terms else 0
+    load_i = ex.load_i
+    loads = "loads" in terms
+    bits = ctx.bits
+    parent_masks = ctx.parent_masks
+    sink_mask = ctx.sink_mask
+    zero = _U64(0)
 
     def h(red: "np.ndarray", blue: "np.ndarray", computed: "np.ndarray") -> "np.ndarray":
-        if compute_i == 0:
-            return np.zeros(len(red), dtype=np.int64)
         pebbled = red | blue
-        needed = np.zeros(len(red), dtype=_U64)
-        for sink_bit, closure in closures:
-            needed[(pebbled & sink_bit) == 0] |= closure
-        missing = popcount_u64(needed & ~computed & nonsource)
-        return compute_i * missing.astype(np.int64)
+        open_sinks = (pebbled[:, None] & sink_bits[None, :]) == 0
+        needed = np.bitwise_or.reduce(
+            np.where(open_sinks, closures[None, :], zero), axis=1
+        )
+        todo = needed & ~computed
+        value = compute_i * popcount_u64(todo & nonsource).astype(np.int64)
+        if loads:
+            on = (todo[:, None] & bits[None, :]) != 0
+            parents = np.bitwise_or.reduce(
+                np.where(on, parent_masks[None, :], zero), axis=1
+            )
+            value += load_i * popcount_u64(parents & blue).astype(np.int64)
+            value[((parents | sink_mask) & computed & ~pebbled) != 0] = DEAD
+        return value
 
     return h
-
-
-# the import is safe: repro.solvers.exact never imports this module at
-# module scope (only lazily inside solve_optimal)
-from .exact import compcost_heuristic  # noqa: E402
-
-register_batch_heuristic(compcost_heuristic, _compile_compcost_batch)
 
 
 # --------------------------------------------------------------------- #
@@ -375,28 +360,30 @@ def astar_batch(
     *,
     budget: int = 2_000_000,
     return_schedule: bool = True,
-    heuristic: object = None,
+    heuristic: Optional[str] = "auto",
     max_batch: int = 4096,
     on_exhausted: str = "raise",
 ) -> KernelResult:
     """Optimal pebbling cost by batched best-first search over state arrays.
 
     Same contract as :func:`repro.solvers.kernel.astar_bits` — same edge
-    alphabet, same budget/exhaustion semantics — with expansion
-    proceeding a frontier batch (up to ``max_batch`` states of minimal
-    ``f``) at a time.  Expansion *order* within one cost level differs
-    from the python kernel's heap tie-breaking, so ``expanded`` /
+    alphabet, same ``heuristic`` bound with its dead rows dropped before
+    they reach the store, same budget/exhaustion semantics — with
+    expansion proceeding a frontier batch (up to ``max_batch`` states of
+    minimal ``f``) at a time.  Expansion *order* within one cost level
+    differs from the python kernel's heap tie-breaking, so ``expanded`` /
     ``generated`` counters are comparable but not identical across
     engines.
     """
     kernel.check_on_exhausted(on_exhausted)
+    terms = kernel.bound_terms(instance.costs, heuristic)
     ex = Expander(instance)
     if ex.sink_mask == 0:  # empty DAG (or no sinks): already complete
         from fractions import Fraction
 
         return KernelResult(Fraction(0), [] if return_schedule else None, 0, 0)
     ctx = _BatchContext(ex)
-    h = _compile_batch_heuristic(ctx, heuristic)
+    h = _compile_bound(ctx, terms)
 
     start_red = np.zeros(1, dtype=_U64)
     if h is not None:
@@ -508,6 +495,7 @@ def astar_batch(
         if len(pi) == 0:
             continue
         ng = g[pi] + cost
+        hv: Optional["np.ndarray"] = None
 
         if fast:
             shift = _U64(ctx.pack_shift)
@@ -526,6 +514,12 @@ def astar_batch(
                     ng[rep], code[rep],
                 )
                 kall = ksort[first]
+            if h is not None:
+                hv = h(nred, nblue, ncomp)
+                alive = np.nonzero(hv != DEAD)[0]
+                pi, nred, nblue, ncomp, ng, code, kall, hv = (
+                    a[alive] for a in (pi, nred, nblue, ncomp, ng, code, kall, hv)
+                )
             # settled states carry negative stored g, so the improvement
             # test alone also rejects every closed state
             keepm = store.update(kall, ng)
@@ -538,8 +532,13 @@ def astar_batch(
                     kall[idx].tolist(),
                     zip(karr[pi[idx]].tolist(), code[idx].tolist()),
                 ))
-            nred, nblue, ncomp, ng = nred[idx], nblue[idx], ncomp[idx], ng[idx]
         else:
+            if h is not None:
+                hv = h(nred, nblue, ncomp)
+                alive = np.nonzero(hv != DEAD)[0]
+                pi, nred, nblue, ncomp, ng, code, hv = (
+                    a[alive] for a in (pi, nred, nblue, ncomp, ng, code, hv)
+                )
             # a state already settled (popped) has its optimal g in
             # best_g, so the g-improvement test alone also rejects every
             # closed state
@@ -560,9 +559,9 @@ def astar_batch(
                 continue
             generated += len(keep)
             idx = np.array(keep, dtype=np.int64)
-            nred, nblue, ncomp, ng = nred[idx], nblue[idx], ncomp[idx], ng[idx]
 
-        nf = ng if h is None else ng + h(nred, nblue, ncomp)
+        nred, nblue, ncomp, ng = nred[idx], nblue[idx], ncomp[idx], ng[idx]
+        nf = ng if hv is None else ng + hv[idx]
         for fv in np.unique(nf).tolist():
             sel = np.nonzero(nf == fv)[0]
             chunk = (nred[sel], nblue[sel], ncomp[sel], ng[sel])

@@ -117,13 +117,16 @@ def exhaustive_cost_bounds(
 ) -> Tuple[Fraction, Fraction]:
     """Bracket the optimal cost of ``instance`` as ``(lower, upper)``.
 
-    Runs the shared bitmask kernel for at most ``node_budget`` expansions.
-    If the search finishes, both ends equal the exact optimum.  Otherwise
-    the lower end is the smallest f-value still open on the frontier (no
-    cheaper completion can exist, since f-values along any path are
-    non-decreasing) and the upper end is the model-aware Section 3 bound
-    ``trivial upper = (2*Delta+1)*n`` floor-joined with the lower bounds of
-    Table 2 via :func:`trivial_lower_bound`.
+    Runs the shared bitmask kernel — A* under the cost model's admissible
+    bound, as :func:`~repro.solvers.kernel.astar_bits` does by default —
+    for at most ``node_budget`` expansions.  If the search finishes, both
+    ends equal the exact optimum.  Otherwise the lower end is the smallest
+    f = g + h still open on the frontier (no cheaper completion can exist:
+    the bound is consistent, so f never falls along a path), floor-joined
+    with the lower bounds of Table 2 via :func:`trivial_lower_bound`; in
+    oneshot and compcost the bound lifts it well above the smallest open
+    g.  The upper end is the model-aware Section 3 bound
+    ``trivial upper = (2*Delta+1)*n``.
 
     This replaces the old pattern of callers running their own truncated
     frozenset searches to size up an instance before committing to an

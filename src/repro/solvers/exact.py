@@ -1,12 +1,20 @@
-"""Exact optimal pebbling via uniform-cost search over pebbling states.
+"""Exact optimal pebbling via A* search over pebbling states.
 
 The state graph has one vertex per pebbling state and one weighted edge
 per legal move; the optimal pebbling cost is the shortest distance from
-the empty board to any complete state.  Dijkstra over this graph is
+the empty board to any complete state.  Search over this graph is
 exponential in general — the paper proves the problem NP-hard (Theorem 2)
 and PSPACE-complete in base [Demaine & Liu] — so this solver is the
 *ground-truth oracle for small instances* that every other component is
 calibrated against.
+
+By default (``heuristic="auto"``) the search is A* under one admissible,
+consistent bound per cost model (:func:`repro.solvers.kernel.compile_bound`):
+one load per blue parent of a needed, uncomputed node when recomputation
+is forbidden (oneshot, where states that cannot finish are cut), plus
+epsilon per needed, uncomputed non-source when computation is priced
+(compcost).  Base and nodel get no bound; ``heuristic=None`` runs
+uniform-cost search.  :attr:`OptimalResult.heuristic` names the terms.
 
 Three engines implement the same contract:
 
@@ -18,9 +26,9 @@ Three engines implement the same contract:
 * ``engine="numpy"``: the batched frontier engine of
   :mod:`repro.solvers.batch_kernel` over the same edge alphabet, for
   DAGs of up to 64 nodes.
-* ``engine="legacy"``: the original frozenset-based search over
-  :class:`~repro.core.state.PebblingState`, kept verbatim as the slow
-  reference implementation.  The golden-optima suite
+* ``engine="legacy"``: the original frozenset-based uniform-cost search
+  over :class:`~repro.core.state.PebblingState`, kept verbatim as the slow
+  reference implementation; it runs no bound.  The golden-optima suite
   (``tests/solvers/test_golden_optima.py``) pins that the engines return
   identical optima on classic instances.
 
@@ -33,8 +41,8 @@ Safe prunes applied (all cost-preserving, see the test-suite):
 
 For the base model, optimal pebblings may be superpolynomially long
 (Section 4) but never *cheaper* than shorter ones below any fixed budget;
-uniform-cost search handles zero-cost cycles because visited states are
-closed at their first settled cost.
+the search handles zero-cost cycles because visited states are closed at
+their first settled cost.
 """
 
 from __future__ import annotations
@@ -43,9 +51,8 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..core.bitstate import iter_bits
 from ..core.dag import ComputationDAG
 from ..core.errors import BudgetExceededError, SolverError
 from ..core.instance import PebblingInstance
@@ -59,7 +66,6 @@ __all__ = [
     "solve_optimal",
     "solve_optimal_legacy",
     "decide_pebbling",
-    "compcost_heuristic",
 ]
 
 
@@ -77,12 +83,17 @@ class OptimalResult:
         Number of states popped from the frontier.
     generated:
         Number of successor states generated.
+    heuristic:
+        The terms of the bound the search ran under, joined by ``+``
+        (``"loads"``, ``"computes"``), or ``"none"`` for uniform-cost
+        search.
     """
 
     cost: Fraction
     schedule: Optional[Schedule]
     expanded: int
     generated: int
+    heuristic: str = "none"
 
     @property
     def length(self) -> Optional[int]:
@@ -90,61 +101,15 @@ class OptimalResult:
         return len(self.schedule) if self.schedule is not None else None
 
 
-Heuristic = Callable[[PebblingState, PebblingInstance], Fraction]
-
-
-def compcost_heuristic(state: PebblingState, instance: PebblingInstance) -> Fraction:
-    """Admissible heuristic for compcost: every still-uncomputed node that
-    some unpebbled sink transitively needs must be computed at least once,
-    at epsilon each."""
-    dag = instance.dag
-    eps = instance.costs.compute_cost
-    if eps == 0:
-        return Fraction(0)
-    needed = set()
-    for s in dag.sinks:
-        if not state.has_pebble(s):
-            needed.add(s)
-            needed.update(dag.ancestors(s))
-    missing = sum(1 for v in needed if v not in state.computed and dag.predecessors(v))
-    return eps * missing
-
-
-def _compile_compcost(ex: "kernel.Expander") -> Callable[[int], int]:
-    """Bit-native form of :func:`compcost_heuristic` over packed keys."""
-    layout = ex.layout
-    n = ex.n
-    compute_i = ex.compute_i
-    nonsource_mask = layout.full_mask & ~layout.source_mask
-    sink_bits = tuple(iter_bits(layout.sink_mask))
-    closures = tuple(layout.ancestor_closure_of_sink(s) for s in sink_bits)
-
-    def h(key: int) -> int:
-        if compute_i == 0:
-            return 0
-        # bit s of red | blue; the low n bits of key are the computed mask
-        pebbled = (key >> n) | (key >> 2 * n)
-        needed = 0
-        for s, closure in zip(sink_bits, closures):
-            if not pebbled >> s & 1:
-                needed |= closure
-        return compute_i * (needed & ~key & nonsource_mask).bit_count()
-
-    return h
-
-
-kernel.register_bit_heuristic(compcost_heuristic, _compile_compcost)
-
-
 def solve_optimal(
     instance: PebblingInstance,
     *,
     budget: int = 2_000_000,
     return_schedule: bool = True,
-    heuristic: Optional[Heuristic] = None,
+    heuristic: Optional[str] = "auto",
     engine: str = "bits",
 ) -> OptimalResult:
-    """Find an optimal pebbling by (heuristic-guided) uniform-cost search.
+    """Find an optimal pebbling by A* (default) or uniform-cost search.
 
     Parameters
     ----------
@@ -157,9 +122,10 @@ def solve_optimal(
         Reconstruct and return one optimal schedule (costs memory for
         parent pointers; disable for pure cost queries on larger searches).
     heuristic:
-        Optional admissible heuristic ``h(state, instance)`` turning the
-        search into A*.  :func:`compcost_heuristic` is provided (and runs
-        bit-natively under the default engine).
+        ``"auto"`` (default) runs A* under the cost model's admissible
+        bound (see the module docstring); ``None`` runs uniform-cost
+        search.  Any other value raises :class:`ValueError`.  The
+        ``legacy`` engine always runs uniform-cost search.
     engine:
         ``"bits"`` for the shared bitmask kernel (default), ``"legacy"``
         for the frozenset reference implementation, or ``"numpy"`` for
@@ -170,14 +136,12 @@ def solve_optimal(
     -----
     The search frontier never contains a state twice with a worse key, and
     states are closed permanently at their first pop (correct because all
-    move costs are non-negative).
+    move costs are non-negative and the bound is consistent).
     """
+    terms = kernel.bound_terms(instance.costs, heuristic)
     if engine == "legacy":
         return solve_optimal_legacy(
-            instance,
-            budget=budget,
-            return_schedule=return_schedule,
-            heuristic=heuristic,
+            instance, budget=budget, return_schedule=return_schedule
         )
     if engine == "numpy":
         from .batch_kernel import astar_batch
@@ -201,11 +165,19 @@ def solve_optimal(
             f"bitmask kernel), 'legacy' (frozenset reference), 'numpy' "
             f"(batched frontier)"
         )
+    return optimal_result(result, terms)
+
+
+def optimal_result(
+    result: "kernel.KernelResult", terms: Tuple[str, ...]
+) -> OptimalResult:
+    """Wrap a kernel result that ran under the bound ``terms``."""
     return OptimalResult(
         result.cost,
         kernel.moves_to_schedule(result.moves),
         result.expanded,
         result.generated,
+        "+".join(terms) or "none",
     )
 
 
@@ -214,13 +186,13 @@ def solve_optimal_legacy(
     *,
     budget: int = 2_000_000,
     return_schedule: bool = True,
-    heuristic: Optional[Heuristic] = None,
 ) -> OptimalResult:
     """The original frozenset-based search, kept as the reference oracle.
 
-    Same contract as :func:`solve_optimal`.  Differential and golden tests
-    compare the two engines; use this path when debugging the kernel —
-    states print as readable node sets.
+    Uniform-cost search under the contract of :func:`solve_optimal`.
+    Differential and golden tests compare the engines against it; use
+    this path when debugging the kernel — states print as readable node
+    sets.
     """
     dag: ComputationDAG = instance.dag
     costs = instance.costs
@@ -230,9 +202,10 @@ def solve_optimal_legacy(
     if start.is_complete(dag):  # DAG with no sinks (empty DAG)
         return OptimalResult(Fraction(0), Schedule(), 0, 0)
 
-    h0 = heuristic(start, instance) if heuristic else Fraction(0)
     counter = itertools.count()
-    frontier: List[Tuple[Fraction, int, PebblingState]] = [(h0, next(counter), start)]
+    frontier: List[Tuple[Fraction, int, PebblingState]] = [
+        (Fraction(0), next(counter), start)
+    ]
     best_g: Dict[PebblingState, Fraction] = {start: Fraction(0)}
     parents: Dict[PebblingState, Tuple[PebblingState, Move]] = {}
     closed = set()
@@ -240,7 +213,7 @@ def solve_optimal_legacy(
     generated = 0
 
     while frontier:
-        f, _, state = heapq.heappop(frontier)
+        _, _, state = heapq.heappop(frontier)
         if state in closed:
             continue
         closed.add(state)
@@ -263,8 +236,7 @@ def solve_optimal_legacy(
                 best_g[nxt] = ng
                 if return_schedule:
                     parents[nxt] = (state, move)
-                nh = heuristic(nxt, instance) if heuristic else Fraction(0)
-                heapq.heappush(frontier, (ng + nh, next(counter), nxt))
+                heapq.heappush(frontier, (ng, next(counter), nxt))
                 generated += 1
 
     raise SolverError(

@@ -24,10 +24,10 @@ The kernel replaces all of that with one implementation operating on the
   shrinks the state graph.
 
 **One best-first loop.**  :func:`best_first` is the A* driver of every
-game searched over packed int keys.  It owns the heap of ``(f, tiebreak,
-g, key)``, the closed set, ``best_g``, the parent map, the budget exit
-and the parent-chain walk (:func:`trace_codes`), and it asks a game's
-expander for four things:
+game searched over packed int keys.  It owns the heap of ``(f, -g,
+tiebreak, key)``, the closed set, ``best_g``, the parent map, the budget
+exit and the parent-chain walk (:func:`trace_codes`), and it asks a
+game's expander for four things:
 
 * ``successors(key)`` yielding ``(nkey, cost_i, code)`` per normalized
   edge, ``cost_i`` in scaled integer units;
@@ -37,11 +37,16 @@ expander for four things:
 
 The start state is the empty board, key 0, in every game.  :class:`Expander`
 is the red-blue game and ``_MLExpander`` of :mod:`repro.solvers.multilevel`
-the multi-level one.  :func:`astar_bits` (uniform-cost / A*, the default
-engine of ``solve_optimal``) is a thin front-end over the driver, and
+the multi-level one.  :func:`astar_bits` (the default engine of
+``solve_optimal``) is a thin front-end over the driver, and
 :func:`idastar_bits` (iterative deepening, the structurally different
 cross-check behind ``solve_optimal_idastar``) reads the same
 ``successors``.
+
+**One admissible bound per cost model.**  Both run as A* by default
+(``heuristic="auto"``) under :func:`compile_bound`, an ``h(key)`` on the
+packed key whose terms :func:`bound_terms` reads off the cost model;
+``heuristic=None`` is uniform-cost search.
 """
 
 from __future__ import annotations
@@ -52,9 +57,10 @@ import math
 from fractions import Fraction
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from ..core.bitstate import BitState, bit_layout
+from ..core.bitstate import bit_layout, iter_bits
 from ..core.errors import BudgetExceededError, SolverError
 from ..core.instance import PebblingInstance
+from ..core.models import CostModel
 from ..core.moves import MOVE_KINDS, Delete, Move
 from ..core.schedule import Schedule
 
@@ -64,7 +70,8 @@ __all__ = [
     "best_first",
     "astar_bits",
     "idastar_bits",
-    "register_bit_heuristic",
+    "bound_terms",
+    "compile_bound",
 ]
 
 #: move-code kinds, aligned with Move.kind_id (load, store, compute, delete)
@@ -98,7 +105,6 @@ class Expander:
     """
 
     __slots__ = (
-        "instance",
         "layout",
         "n",
         "red_limit",
@@ -116,7 +122,6 @@ class Expander:
 
     def __init__(self, instance: PebblingInstance) -> None:
         costs = instance.costs
-        self.instance = instance
         self.layout = bit_layout(instance.dag)
         self.n = self.layout.n
         self.red_limit = instance.red_limit
@@ -250,50 +255,100 @@ class Expander:
 
 
 # ---------------------------------------------------------------------- #
-# heuristics
+# the default admissible bound
 # ---------------------------------------------------------------------- #
 
-#: compilers turning a PebblingState-level heuristic into a bit-native one;
-#: populated via register_bit_heuristic (repro.solvers.exact registers the
-#: compcost heuristic at import time).
-_BIT_HEURISTICS: Dict[object, Callable[[Expander], Callable[[int], int]]] = {}
 
+def bound_terms(costs: CostModel, heuristic: Optional[str]) -> Tuple[str, ...]:
+    """The terms of the admissible bound that ``heuristic`` selects.
 
-def register_bit_heuristic(
-    heuristic: object,
-    compiler: Callable[[Expander], Callable[[int], int]],
-) -> None:
-    """Register a bit-native compiler for a PebblingState-level heuristic.
-
-    ``compiler(expander)`` must return ``h(key) -> int`` over the packed
-    state key, in the expander's *scaled* integer cost units.  Heuristics
-    without a registered compiler still work: the kernel decodes each
-    state and calls them on :class:`PebblingState` (exact, but slow — the
-    scaled value is floored, which preserves admissibility and
-    consistency because all edge costs are integral in scaled units).
+    ``"auto"`` (the default of every exact solver) reads them off the
+    cost model's flags: ``"loads"`` when recomputation is forbidden,
+    ``"computes"`` when computation is priced, both when both hold, and
+    none in base and nodel.  ``None`` selects no term: uniform-cost
+    search.  Any other value raises :class:`ValueError`.
     """
-    _BIT_HEURISTICS[heuristic] = compiler
-
-
-def _compile_heuristic(
-    expander: Expander, heuristic: object
-) -> Optional[Callable[[int], int]]:
     if heuristic is None:
+        return ()
+    if heuristic != "auto":
+        raise ValueError(
+            f"unknown heuristic {heuristic!r}; expected 'auto' (the "
+            f"admissible bound of the cost model) or None (uniform-cost "
+            f"search)"
+        )
+    terms = []
+    if not costs.recompute_allowed:
+        terms.append("loads")
+    if costs.compute_cost > 0:
+        terms.append("computes")
+    return tuple(terms)
+
+
+def compile_bound(
+    ex: Expander, terms: Tuple[str, ...]
+) -> Optional[Callable[[int], Optional[int]]]:
+    """``h(key)``, the admissible, consistent bound made of ``terms``.
+
+    Call *todo* the needed, uncomputed nodes: the sinks without a pebble
+    and their ancestors, less the computed nodes.  A Compute needs its
+    parents red, so the computed nodes are closed under ancestors and
+    every *todo* node must still be computed.  In scaled cost units:
+
+    * ``"computes"`` charges one Compute per non-source *todo* node;
+    * ``"loads"`` (no recomputation) charges one Load per blue parent of
+      a *todo* node: the parent must be red again when its child is
+      computed, and only a Load can make it so.  It returns None, a dead
+      state with no completion, when such a parent or a sink is computed
+      but holds no pebble, since no move can pebble it again.
+
+    A Load lowers the sum by at most one load and a Compute by at most
+    one compute; a Store or a Delete never lowers it.  So the bound is
+    consistent, it is 0 at every goal, and every successor of a dead
+    state is dead.  Returns None when ``terms`` is empty.
+    """
+    if not terms:
         return None
-    compiler = _BIT_HEURISTICS.get(heuristic)
-    if compiler is not None:
-        return compiler(expander)
+    n = ex.n
+    n2 = 2 * n
+    full = ex.full_mask
+    layout = ex.layout
+    sink_mask = ex.sink_mask
+    nonsource = full & ~layout.source_mask
+    compute_i = ex.compute_i if "computes" in terms else 0
+    load_i = ex.load_i
+    loads = "loads" in terms
+    # keyed by a node's lowest-set-bit mask, as the bit scans below yield it
+    closure_of = {
+        1 << s: layout.ancestor_closure_of_sink(s) for s in iter_bits(sink_mask)
+    }
+    parents_of = {1 << i: mask for i, mask in enumerate(ex.parent_masks)}
 
-    layout = expander.layout
-    instance = expander.instance
-    scale = expander.scale
-    n, full = expander.n, expander.full_mask
-
-    def h(key: int) -> int:
-        bits = BitState(key >> 2 * n, (key >> n) & full, key & full)
-        state = layout.decode_state(bits)
-        value = Fraction(heuristic(state, instance)) * scale
-        return value.numerator // value.denominator
+    def h(key: int) -> Optional[int]:
+        computed = key & full
+        blue = (key >> n) & full
+        pebbled = (key >> n2) | blue
+        open_sinks = sink_mask & ~pebbled
+        if loads and open_sinks & computed:
+            return None
+        needed = 0
+        m = open_sinks
+        while m:
+            low = m & -m
+            m ^= low
+            needed |= closure_of[low]
+        todo = needed & ~computed
+        value = compute_i * (todo & nonsource).bit_count()
+        if loads:
+            parents = 0
+            m = todo
+            while m:
+                low = m & -m
+                m ^= low
+                parents |= parents_of[low]
+            if parents & computed & ~pebbled:
+                return None
+            value += load_i * (parents & blue).bit_count()
+        return value
 
     return h
 
@@ -323,7 +378,7 @@ def check_on_exhausted(mode: str) -> None:
 
 def best_first(
     ex: Any,
-    h: Optional[Callable[[int], int]],
+    h: Optional[Callable[[int], Optional[int]]],
     *,
     budget: int,
     return_schedule: bool,
@@ -332,8 +387,11 @@ def best_first(
     """Best-first search from key 0 over ``ex``'s packed-key state graph.
 
     Uniform-cost search when ``h`` is None, A* under the consistent
-    heuristic ``h(key)`` otherwise.  States are closed at their first
-    pop, which is optimal because every ``cost_i`` is non-negative.
+    heuristic ``h(key)`` otherwise; a successor on which ``h`` returns
+    None is dead (no completion exists) and is dropped before it reaches
+    ``best_g``.  Equal f-values pop the larger g first, then in push
+    order.  States are closed at their first pop, which is optimal
+    because every ``cost_i`` is non-negative and ``h`` is consistent.
     ``on_exhausted`` controls behaviour when ``budget`` expansions are
     reached: ``"raise"`` raises :class:`BudgetExceededError`; ``"bound"``
     returns a *lower bound* on the optimum — the smallest f-value still
@@ -343,8 +401,9 @@ def best_first(
     successors = ex.successors
     is_goal = ex.is_goal
     counter = itertools.count()
+    # (f, -g, tiebreak, key): the start state is never dead
     frontier: List[Tuple[int, int, int, int]] = [
-        (h(0) if h else 0, next(counter), 0, 0)
+        ((h(0) or 0) if h else 0, 0, next(counter), 0)
     ]
     best_g: Dict[int, int] = {0: 0}
     parents: Dict[int, Tuple[int, int]] = {}
@@ -353,10 +412,11 @@ def best_first(
     generated = 0
 
     while frontier:
-        f, _, g, key = heapq.heappop(frontier)
+        f, neg_g, _, key = heapq.heappop(frontier)
         if key in closed:
             continue
         closed.add(key)
+        g = -neg_g
 
         if is_goal(key):
             moves = None
@@ -383,13 +443,17 @@ def best_first(
             ng = g + cost_i
             old = best_g.get(nkey)
             if old is None or ng < old:
+                if h is None:
+                    nf = ng
+                else:
+                    hv = h(nkey)
+                    if hv is None:
+                        continue
+                    nf = ng + hv
                 best_g[nkey] = ng
                 if return_schedule:
                     parents[nkey] = (key, code)
-                heapq.heappush(
-                    frontier,
-                    (ng + h(nkey) if h else ng, next(counter), ng, nkey),
-                )
+                heapq.heappush(frontier, (nf, -ng, next(counter), nkey))
                 generated += 1
 
     raise SolverError(
@@ -403,21 +467,21 @@ def astar_bits(
     *,
     budget: int = 2_000_000,
     return_schedule: bool = True,
-    heuristic: object = None,
+    heuristic: Optional[str] = "auto",
     on_exhausted: str = "raise",
 ) -> KernelResult:
     """Optimal pebbling cost by best-first search over bitmask states.
 
-    ``heuristic`` takes the public ``(PebblingState, instance)`` signature;
-    registered heuristics run bit-natively (see
-    :func:`register_bit_heuristic`).  ``on_exhausted`` is ``"raise"``
-    (default) or ``"bound"``, as in :func:`best_first`; the bound mode
-    serves :func:`repro.solvers.bounds.exhaustive_cost_bounds`.
+    A* under the cost model's bound for ``heuristic="auto"``, uniform-cost
+    search for ``None`` (see :func:`bound_terms`).  ``on_exhausted`` is
+    ``"raise"`` (default) or ``"bound"``, as in :func:`best_first`; the
+    bound mode serves :func:`repro.solvers.bounds.exhaustive_cost_bounds`.
     """
+    terms = bound_terms(instance.costs, heuristic)
     ex = Expander(instance)
     return best_first(
         ex,
-        _compile_heuristic(ex, heuristic),
+        compile_bound(ex, terms),
         budget=budget,
         return_schedule=return_schedule,
         on_exhausted=on_exhausted,
@@ -434,21 +498,23 @@ def idastar_bits(
     *,
     budget: int = 4_000_000,
     return_schedule: bool = True,
-    heuristic: object = None,
+    heuristic: Optional[str] = "auto",
     max_iterations: int = 10_000,
 ) -> KernelResult:
     """Optimal pebbling by iterative threshold deepening over bitmask states.
 
     Structurally different from :func:`best_first` (bounded DFS sweeps with
     a per-iteration ``best_g`` memo instead of a global priority queue), so
-    the two can cross-check each other; shares the expander, encoding and
-    cost scaling.
+    the two can cross-check each other; shares the expander, encoding,
+    cost scaling and ``heuristic`` bound, whose dead successors it drops
+    likewise.
     """
+    terms = bound_terms(instance.costs, heuristic)
     ex = Expander(instance)
     successors = ex.successors
     is_goal = ex.is_goal
-    h = _compile_heuristic(ex, heuristic)
-    threshold = h(0) if h else 0
+    h = compile_bound(ex, terms)
+    threshold = (h(0) or 0) if h else 0
     expanded_total = 0
     generated_total = 0
 
@@ -473,7 +539,13 @@ def idastar_bits(
                 raise BudgetExceededError(budget)
             for nkey, cost_i, code in successors(key):
                 ng = g + cost_i
-                f = ng + h(nkey) if h else ng
+                if h is None:
+                    f = ng
+                else:
+                    hv = h(nkey)
+                    if hv is None:
+                        continue
+                    f = ng + hv
                 if f > threshold:
                     if next_threshold is None or f < next_threshold:
                         next_threshold = f

@@ -50,6 +50,21 @@ class TestOutcomes:
         for name in ("baseline", "greedy", "beam:4", "fixed-order:belady"):
             assert resolve_method(name)(inst, task).cost >= exact
 
+    @pytest.mark.parametrize(
+        "method,model,name",
+        [
+            ("exact", "oneshot", "loads"),
+            ("exact", "nodel", "none"),
+            ("exact:numpy", "compcost", "computes"),
+            ("idastar", "oneshot", "loads"),
+            ("exact:legacy", "oneshot", "none"),
+        ],
+    )
+    def test_exact_methods_name_their_bound(self, method, model, name):
+        inst, task = make(dag="pyramid:2", model=model, method=method)
+        outcome = resolve_method(method)(inst, task)
+        assert outcome.extra["heuristic"] == name
+
     def test_baseline_reports_naive_bound(self):
         inst, task = make(method="baseline")
         outcome = resolve_method("baseline")(inst, task)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from repro import ComputationDAG, PebblingInstance, PebblingSimulator
-from repro.generators import chain_dag, matmul_dag, pyramid_dag
+from repro.generators import chain_dag, dag_from_spec, matmul_dag, pyramid_dag
 from repro.heuristics import topological_schedule
 from repro.solvers import (
     compcost_lower_bound,
@@ -166,6 +166,27 @@ class TestHongKungCurves:
         for budget in (1, 10, 100, 10_000):
             lower, upper = exhaustive_cost_bounds(inst, node_budget=budget)
             assert lower <= opt <= upper
+
+    @pytest.mark.parametrize(
+        "spec,model,red_limit,lower_end,optimum",
+        [
+            ("tradeoff:2x6", "oneshot", 4, "15", "16"),
+            ("pyramid:3", "oneshot", 3, "5", "6"),
+            ("h2c:4", "compcost", 4, "52/25", "102/25"),
+        ],
+    )
+    def test_truncated_lower_end_is_lifted_by_the_bound(
+        self, spec, model, red_limit, lower_end, optimum
+    ):
+        """None of these searches finishes in 500 expansions.  The lower
+        end is the smallest open f under the cost model's bound; without
+        the bound (plain g) it read 5, 1 and 103/50 here."""
+        inst = PebblingInstance(
+            dag=dag_from_spec(spec), model=model, red_limit=red_limit
+        )
+        lower, upper = exhaustive_cost_bounds(inst, node_budget=500)
+        assert lower == Fraction(lower_end)
+        assert lower < Fraction(optimum) <= upper
 
     def test_measured_cost_respects_matmul_shape(self):
         """Measured heuristic cost on matmul DAGs should sit above the

@@ -2,7 +2,9 @@
 
 The bitmask kernel is the calibrated reference (itself pinned to the
 legacy frozenset solver and the golden optima).  Each engine listed in
-``ENGINES`` is locked to it on
+``ENGINES`` is locked to it, at the same ``heuristic`` setting (the
+default ``"auto"`` bound and uniform-cost ``None``; the legacy engine
+runs no bound, so it meets the reference at ``None`` only), on
 
 * the exact optimum cost (compared as exact ``Fraction`` values),
 * schedule validity (the returned schedule must replay through the
@@ -36,6 +38,17 @@ MODELS = ("base", "oneshot", "nodel", "compcost")
 #: engines under differential test; the reference "bits" engine is
 #: implicit.  Add one id here to give a new engine full coverage.
 ENGINES = ("legacy", "numpy")
+
+#: (engine, heuristic) pairs: every engine at every setting it runs
+SETTINGS = [
+    (engine, heuristic)
+    for engine in ENGINES
+    for heuristic in (("auto", None) if engine != "legacy" else (None,))
+]
+#: an engine at its default setting keeps the engine's name as its id
+SETTING_IDS = [
+    e if h == "auto" or e == "legacy" else f"{e}-uniform-cost" for e, h in SETTINGS
+]
 
 #: the batch engine amortizes over large frontiers and the
 #: reference runs twice per example, so the example budget is modest;
@@ -100,11 +113,13 @@ def instances(draw):
     return PebblingInstance(dag=dag, model=model, red_limit=red_limit)
 
 
-def assert_engine_matches(engine: str, inst: PebblingInstance,
+def assert_engine_matches(engine: str, heuristic, inst: PebblingInstance,
                           budget: int = 300_000) -> None:
     """The whole differential contract for one (engine, instance) pair."""
-    reference = solve_optimal(inst, budget=budget, engine="bits")
-    result = solve_optimal(inst, budget=budget, engine=engine)
+    reference = solve_optimal(
+        inst, budget=budget, engine="bits", heuristic=heuristic
+    )
+    result = solve_optimal(inst, budget=budget, engine=engine, heuristic=heuristic)
 
     # 1. exact optimum agreement
     assert result.cost == reference.cost, (
@@ -125,25 +140,27 @@ def assert_engine_matches(engine: str, inst: PebblingInstance,
         assert result.expanded >= 1
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine,heuristic", SETTINGS, ids=SETTING_IDS)
 class TestEngineDifferential:
     @settings(**DIFF_SETTINGS)
     @given(inst=instances())
-    def test_random_instances(self, engine, inst):
-        assert_engine_matches(engine, inst)
+    def test_random_instances(self, engine, heuristic, inst):
+        assert_engine_matches(engine, heuristic, inst)
 
     @pytest.mark.parametrize(
         "spec,model,red_limit", GADGETS,
         ids=[f"{s}-{m}-r{r}" for s, m, r in GADGETS],
     )
-    def test_gadget_zoo(self, engine, spec, model, red_limit):
-        assert_engine_matches(engine, _gadget_instance(spec, model, red_limit))
+    def test_gadget_zoo(self, engine, heuristic, spec, model, red_limit):
+        assert_engine_matches(
+            engine, heuristic, _gadget_instance(spec, model, red_limit)
+        )
 
-    def test_budget_exhaustion_raises(self, engine):
+    def test_budget_exhaustion_raises(self, engine, heuristic):
         """Every engine stops at the expansion budget instead of running on."""
         inst = _gadget_instance("pyramid:3", "base", 3)
         with pytest.raises(BudgetExceededError):
-            solve_optimal(inst, budget=10, engine=engine)
+            solve_optimal(inst, budget=10, engine=engine, heuristic=heuristic)
 
 
 def test_engines_list_is_nonempty_and_excludes_reference():

@@ -11,8 +11,8 @@ from repro import (
     validate_schedule,
 )
 from repro.generators import chain_dag, independent_tasks_dag, pyramid_dag
-from repro.solvers import decide_pebbling, solve_optimal
-from repro.solvers.exact import compcost_heuristic
+from repro.solvers import decide_pebbling, solve_optimal, solve_optimal_idastar
+from repro.solvers.kernel import Expander, compile_bound
 
 
 def opt(dag, model, R, **kw):
@@ -229,19 +229,43 @@ class TestAStar:
     def test_compcost_heuristic_admissible_and_agreeing(self):
         dag = pyramid_dag(2)
         inst = PebblingInstance(dag=dag, model="compcost", red_limit=3)
-        plain = solve_optimal(inst, return_schedule=False)
-        astar = solve_optimal(
-            inst, heuristic=compcost_heuristic, return_schedule=False
-        )
+        plain = solve_optimal(inst, heuristic=None, return_schedule=False)
+        astar = solve_optimal(inst, return_schedule=False)
         assert plain.cost == astar.cost
         assert astar.expanded <= plain.expanded
+        assert (plain.heuristic, astar.heuristic) == ("none", "computes")
+
+    @pytest.mark.parametrize(
+        "model,name",
+        [("base", "none"), ("oneshot", "loads"), ("nodel", "none"),
+         ("compcost", "computes")],
+    )
+    def test_auto_names_the_bound_of_each_model(self, model, name):
+        inst = PebblingInstance(dag=pyramid_dag(2), model=model, red_limit=3)
+        for engine in ("bits", "numpy"):
+            result = solve_optimal(inst, engine=engine, return_schedule=False)
+            assert result.heuristic == name, engine
+        assert solve_optimal_idastar(inst, return_schedule=False).heuristic == name
+        # the legacy reference always runs uniform-cost search
+        legacy = solve_optimal(inst, engine="legacy", return_schedule=False)
+        assert legacy.heuristic == "none"
 
     def test_heuristic_zero_at_goal_states(self):
-        from repro.core.state import PebblingState
-
         dag = chain_dag(3)
         inst = PebblingInstance(dag=dag, model="compcost", red_limit=2)
-        goal = PebblingState(
-            frozenset(), frozenset({2}), frozenset({0, 1, 2})
-        )
-        assert compcost_heuristic(goal, inst) == 0
+        ex = Expander(inst)
+        h = compile_bound(ex, ("computes",))
+        # red {}, blue {2}, computed {0, 1, 2}: the sink holds a pebble
+        goal = (0b100 << ex.n) | 0b111
+        assert ex.is_goal(goal)
+        assert h(goal) == 0
+
+    @pytest.mark.parametrize("heuristic", ["compcost", "none", len])
+    def test_unknown_heuristic_raises(self, heuristic):
+        inst = PebblingInstance(dag=chain_dag(3), model="compcost", red_limit=2)
+        message = r"unknown heuristic.*'auto'.*None"
+        for engine in ("bits", "numpy", "legacy"):
+            with pytest.raises(ValueError, match=message):
+                solve_optimal(inst, heuristic=heuristic, engine=engine)
+        with pytest.raises(ValueError, match=message):
+            solve_optimal_idastar(inst, heuristic=heuristic)

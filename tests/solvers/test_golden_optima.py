@@ -11,10 +11,12 @@ gadget, H2C).  Every entry is asserted against
 * the batched numpy frontier engine (``engine="numpy"``),
 
 so any kernel bug — cost scaling, successor generation, the search
-loop — shows up as a *value diff* against a committed constant, not
-just as a cross-check failure that could in principle be a shared bug.
-The ``bits`` engine's exact work (``expanded``, ``generated``) is pinned
-too, so a change in search order cannot pass unseen.
+loop, the admissible bound — shows up as a *value diff* against a
+committed constant, not just as a cross-check failure that could in
+principle be a shared bug.  The ``bits`` engine's exact work
+(``expanded``, ``generated``) is pinned too, on the default A* path
+(``AUTO_WORK``) and on uniform-cost search (``BITS_WORK``), so a change
+in search order or in the bound cannot pass unseen.
 
 The pinned optima also serve as certified reference points for the
 non-exact code: every Section 3 bound (the Table 2 range, the
@@ -111,11 +113,12 @@ GOLDEN = [
     ("tradeoff:2x6", "oneshot", 6, "0"),
 ]
 
-#: (expanded, generated) of the default ``bits`` search on each GOLDEN
-#: cell, recorded from ``astar_bits`` with dominance pruning switched off
-#: just before that pruning was deleted (totals: 37,242 expanded, 53,623
-#: generated).  Any change in successor order, tie-breaking or pruning
-#: moves these counts, so update them only with a reason for the change.
+#: (expanded, generated) of the uniform-cost ``bits`` search
+#: (``heuristic=None``) on each GOLDEN cell, recorded from ``astar_bits``
+#: with dominance pruning switched off just before that pruning was
+#: deleted (totals: 37,242 expanded, 53,623 generated).  Any change in
+#: successor order, tie-breaking or pruning moves these counts, so update
+#: them only with a reason for the change.
 BITS_WORK = {
     ("pyramid:2", "base", 3): (211, 283),
     ("pyramid:2", "oneshot", 3): (156, 235),
@@ -148,8 +151,44 @@ BITS_WORK = {
     ("tradeoff:2x6", "oneshot", 6): (30, 140),
 }
 
-#: larger pinned optima: feasible in tier-1 time only for the batched
-#: numpy engine (the scalar engines need multiple seconds each here;
+#: (expanded, generated) of the default ``bits`` search (A* under the
+#: cost model's bound, equal-f ties to the larger g) on each GOLDEN cell
+#: (totals: 10,290 expanded, 14,810 generated).  Base and nodel have no
+#: bound, so their cells equal ``BITS_WORK``.  Pinned like ``BITS_WORK``.
+AUTO_WORK = {
+    ("pyramid:2", "base", 3): (211, 283),
+    ("pyramid:2", "oneshot", 3): (47, 87),
+    ("pyramid:2", "nodel", 3): (99, 104),
+    ("pyramid:2", "compcost", 3): (126, 220),
+    ("pyramid:2", "base", 4): (17, 65),
+    ("pyramid:2", "oneshot", 4): (14, 50),
+    ("pyramid:2", "nodel", 4): (77, 101),
+    ("pyramid:2", "compcost", 4): (11, 41),
+    ("pyramid:2", "base", 5): (13, 46),
+    ("pyramid:2", "oneshot", 5): (13, 46),
+    ("pyramid:2", "nodel", 5): (44, 80),
+    ("pyramid:2", "compcost", 5): (11, 39),
+    ("pyramid:3", "oneshot", 3): (611, 1199),
+    ("pyramid:3", "oneshot", 4): (223, 642),
+    ("pyramid:3", "nodel", 4): (1513, 1769),
+    ("tree:4", "oneshot", 3): (138, 266),
+    ("tree:4", "oneshot", 4): (28, 109),
+    ("chain:8", "nodel", 2): (59, 89),
+    ("chain:8", "nodel", 3): (108, 183),
+    ("chain:8", "oneshot", 2): (8, 21),
+    ("grid:3x3", "oneshot", 3): (231, 558),
+    ("h2c:4", "base", 4): (2904, 3352),
+    ("h2c:4", "oneshot", 4): (153, 288),
+    ("h2c:4", "nodel", 4): (418, 461),
+    ("h2c:4", "compcost", 4): (2190, 2993),
+    ("h2c:4", "oneshot", 5): (78, 216),
+    ("tradeoff:2x6", "oneshot", 4): (614, 840),
+    ("tradeoff:2x6", "oneshot", 5): (307, 564),
+    ("tradeoff:2x6", "oneshot", 6): (24, 98),
+}
+
+#: larger pinned optima, solved by the batched numpy engine (the scalar
+#: engines need seconds each on the nodel cells, which have no bound;
 #: values were cross-checked against ``engine="bits"`` offline).
 GOLDEN_LARGE = [
     ("pyramid:4", "oneshot", 4, "4"),
@@ -179,10 +218,25 @@ class TestGoldenOptima:
         )
         result = solve_optimal(inst)
         assert result.cost == Fraction(expected)
-        assert (result.expanded, result.generated) == BITS_WORK[
+        assert (result.expanded, result.generated) == AUTO_WORK[
             (dag_name, model, red_limit)
         ]
         # the reconstructed schedule must be independently auditable
+        report = validate_schedule(inst, result.schedule)
+        assert report.ok, report.violations[:3]
+        assert report.cost == result.cost
+
+    def test_uniform_cost_bitmask_engine_matches_golden(
+        self, dags, dag_name, model, red_limit, expected
+    ):
+        inst = PebblingInstance(
+            dag=dags[dag_name], model=model, red_limit=red_limit
+        )
+        result = solve_optimal(inst, heuristic=None)
+        assert result.cost == Fraction(expected)
+        assert (result.expanded, result.generated) == BITS_WORK[
+            (dag_name, model, red_limit)
+        ]
         report = validate_schedule(inst, result.schedule)
         assert report.ok, report.violations[:3]
         assert report.cost == result.cost

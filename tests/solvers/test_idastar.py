@@ -5,7 +5,6 @@ import pytest
 from repro import BudgetExceededError, ComputationDAG, PebblingInstance, validate_schedule
 from repro.generators import chain_dag, pyramid_dag, random_dag
 from repro.solvers import solve_optimal, solve_optimal_idastar
-from repro.solvers.exact import compcost_heuristic
 
 
 ALL_MODELS = ["base", "oneshot", "nodel", "compcost"]
@@ -69,9 +68,11 @@ class TestContracts:
             solve_optimal_idastar(inst, budget=10)
 
     def test_heuristic_compatible(self):
-        inst = PebblingInstance(dag=pyramid_dag(2), model="compcost", red_limit=3)
-        plain = solve_optimal_idastar(inst, return_schedule=False)
-        guided = solve_optimal_idastar(
-            inst, heuristic=compcost_heuristic, return_schedule=False
-        )
-        assert plain.cost == guided.cost
+        for model in ("oneshot", "compcost"):
+            inst = PebblingInstance(dag=pyramid_dag(2), model=model, red_limit=3)
+            plain = solve_optimal_idastar(
+                inst, heuristic=None, return_schedule=False
+            )
+            guided = solve_optimal_idastar(inst, return_schedule=False)
+            assert plain.cost == guided.cost, model
+            assert guided.expanded <= plain.expanded, model

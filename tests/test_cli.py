@@ -42,6 +42,17 @@ class TestSolve:
         assert code == 0
         assert "optimal  : 0" in out
 
+    @pytest.mark.parametrize(
+        "model,name",
+        [("oneshot", "loads"), ("compcost", "computes"), ("nodel", "none")],
+    )
+    def test_bound_reported(self, capsys, model, name):
+        code, out = run(
+            capsys, "solve", "--dag", "pyramid:2", "--red", "3", "--model", model
+        )
+        assert code == 0
+        assert f"heuristic: {name}\n" in out
+
     def test_show_schedule(self, capsys):
         code, out = run(
             capsys, "solve", "--dag", "chain:3", "--red", "2", "--show-schedule"

@@ -13,7 +13,6 @@ table2     print Table 2 (model properties)
 bench      experiment runner: list/run/compare declarative specs
 serve      pebbling-as-a-service: long-running async HTTP/JSON API
 query      client for a running server (one cell per call)
-check      repo-aware static analysis (seven dataflow rules, the CI gate)
 
 Generator specs for --dag: ``pyramid:H``, ``chain:N``, ``tree:LEAVES``,
 ``grid:RxC``, ``butterfly:K``, ``matmul:N[:bB]``, ``conv:N:K[:cC]``,
@@ -393,16 +392,6 @@ def cmd_query(args) -> int:
     return 0 if status in ("ok", "infeasible") else 1
 
 
-def cmd_check(args) -> int:
-    from pathlib import Path
-
-    from . import devtools
-
-    findings = devtools.run_check(devtools.RepoIndex(Path(args.root)))
-    print(devtools.render_text(findings, checked_rules=devtools.all_rules()))
-    return 1 if findings else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-pebble",
@@ -519,14 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-request seconds (server default otherwise)")
     p.add_argument("--json", action="store_true", help="print the raw JSON record")
     p.set_defaults(fn=cmd_query)
-
-    p = sub.add_parser(
-        "check",
-        help="repo-aware static analysis (see docs/static-analysis.md)",
-    )
-    p.add_argument("--root", default=".",
-                   help="repository root to analyze (default: cwd)")
-    p.set_defaults(fn=cmd_check)
 
     return parser
 

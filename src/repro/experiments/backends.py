@@ -28,9 +28,11 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
+import os
 import threading
 import time
 import traceback
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -212,12 +214,21 @@ class PipeWorker:
     started: float = 0.0
 
 
-# backwards-compatible alias (pre-seam name)
-_Worker = PipeWorker
-
-
 #: serialises :func:`spawn_pipe_worker` across threads (see there)
 _SPAWN_LOCK = threading.Lock()
+
+#: the parent end of every live worker's pipe (filled under _SPAWN_LOCK)
+_PARENT_ENDS: "weakref.WeakSet[Connection]" = weakref.WeakSet()
+
+
+def _close_inherited_parent_ends() -> None:  # pragma: no cover - runs in forked children
+    for conn in list(_PARENT_ENDS):
+        conn.close()
+    _PARENT_ENDS.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_close_inherited_parent_ends)
 
 
 def spawn_pipe_worker(ctx: multiprocessing.context.BaseContext, target: Callable) -> PipeWorker:
@@ -228,11 +239,16 @@ def spawn_pipe_worker(ctx: multiprocessing.context.BaseContext, target: Callable
     would hand that sibling the write end of this worker's sentinel
     pipe, and :func:`retire_pipe_worker`'s ``join`` would then wait out
     its whole timeout for a death the sentinel never signals.
+
+    A forked child closes every parent end it inherited, its own and
+    those of the workers spawned before it, so each worker reads EOF as
+    soon as the parent closes its end (or dies).
     """
     with _SPAWN_LOCK:
         # the child inherits this lock in its held state; that is safe
         # because pool workers are daemonic and never spawn
         parent_conn, child_conn = ctx.Pipe()
+        _PARENT_ENDS.add(parent_conn)
         proc = ctx.Process(target=target, args=(child_conn,), daemon=True)
         proc.start()
         child_conn.close()
@@ -275,7 +291,7 @@ class MultiprocessingBackend(ExecutionBackend):
         self.jobs = jobs
         self.timeout = timeout
         self._ctx = multiprocessing.get_context()
-        self._idle: List[_Worker] = []
+        self._idle: List[PipeWorker] = []
         self._closed = False
         # several service dispatcher threads may share one backend; the
         # lock guards the idle pool (each run_tasks call's busy set is
@@ -290,7 +306,7 @@ class MultiprocessingBackend(ExecutionBackend):
     def _retire(self, worker: PipeWorker) -> None:
         retire_pipe_worker(worker)
 
-    def _checkout(self) -> _Worker:
+    def _checkout(self) -> PipeWorker:
         """An idle warm worker, or a fresh one."""
         while True:
             with self._pool_lock:
@@ -301,7 +317,7 @@ class MultiprocessingBackend(ExecutionBackend):
                 return worker
             self._retire(worker)  # died while idle
 
-    def _checkin(self, worker: _Worker) -> None:
+    def _checkin(self, worker: PipeWorker) -> None:
         worker.task = None
         with self._pool_lock:
             keep = len(self._idle) < self.jobs and not self._closed
@@ -330,7 +346,7 @@ class MultiprocessingBackend(ExecutionBackend):
         if self._closed:
             raise RuntimeError("backend is closed")
         pending = list(reversed(list(batch)))
-        busy: Dict[int, _Worker] = {}  # batch key -> worker
+        busy: Dict[int, PipeWorker] = {}  # batch key -> worker
         produced: List[Tuple[int, RunResult]] = []
         slots = min(self.jobs, len(pending))
 

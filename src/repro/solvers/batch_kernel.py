@@ -210,7 +210,6 @@ def _compile_bound(ctx: _BatchContext, terms: Tuple[str, ...]) -> Optional[Calla
     closures = np.array(
         [layout.ancestor_closure_of_sink(s) for s in sinks], dtype=_U64
     )
-    nonsource = _U64(ex.full_mask & ~layout.source_mask)
     compute_i = ex.compute_i if "computes" in terms else 0
     load_i = ex.load_i
     loads = "loads" in terms
@@ -226,7 +225,7 @@ def _compile_bound(ctx: _BatchContext, terms: Tuple[str, ...]) -> Optional[Calla
             np.where(open_sinks, closures[None, :], zero), axis=1
         )
         todo = needed & ~computed
-        value = compute_i * popcount_u64(todo & nonsource).astype(np.int64)
+        value = compute_i * popcount_u64(todo).astype(np.int64)
         if loads:
             on = (todo[:, None] & bits[None, :]) != 0
             parents = np.bitwise_or.reduce(

@@ -104,10 +104,9 @@ def nodel_lower_bound(dag: ComputationDAG, red_limit: int) -> Fraction:
 def compcost_lower_bound(
     dag: ComputationDAG, *, epsilon: Fraction = DEFAULT_EPSILON
 ) -> Fraction:
-    """compcost: every required non-source node is computed at least once,
-    at a cost of epsilon each (Section 4)."""
-    non_sources = sum(1 for v in required_nodes(dag) if dag.predecessors(v))
-    return Fraction(epsilon) * non_sources
+    """compcost: every required node, a source included, is computed at
+    least once, at a cost of epsilon each (Section 4)."""
+    return Fraction(epsilon) * len(required_nodes(dag))
 
 
 def exhaustive_cost_bounds(

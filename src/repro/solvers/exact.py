@@ -12,7 +12,7 @@ By default (``heuristic="auto"``) the search is A* under one admissible,
 consistent bound per cost model (:func:`repro.solvers.kernel.compile_bound`):
 one load per blue parent of a needed, uncomputed node when recomputation
 is forbidden (oneshot, where states that cannot finish are cut), plus
-epsilon per needed, uncomputed non-source when computation is priced
+epsilon per needed, uncomputed node when computation is priced
 (compcost).  Base and nodel get no bound; ``heuristic=None`` runs
 uniform-cost search.  :attr:`OptimalResult.heuristic` names the terms.
 

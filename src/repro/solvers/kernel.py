@@ -294,7 +294,8 @@ def compile_bound(
     parents red, so the computed nodes are closed under ancestors and
     every *todo* node must still be computed.  In scaled cost units:
 
-    * ``"computes"`` charges one Compute per non-source *todo* node;
+    * ``"computes"`` charges one Compute per *todo* node, a source's
+      too: a Compute is the only move that pebbles an uncomputed node;
     * ``"loads"`` (no recomputation) charges one Load per blue parent of
       a *todo* node: the parent must be red again when its child is
       computed, and only a Load can make it so.  It returns None, a dead
@@ -313,7 +314,6 @@ def compile_bound(
     full = ex.full_mask
     layout = ex.layout
     sink_mask = ex.sink_mask
-    nonsource = full & ~layout.source_mask
     compute_i = ex.compute_i if "computes" in terms else 0
     load_i = ex.load_i
     loads = "loads" in terms
@@ -337,7 +337,7 @@ def compile_bound(
             m ^= low
             needed |= closure_of[low]
         todo = needed & ~computed
-        value = compute_i * (todo & nonsource).bit_count()
+        value = compute_i * todo.bit_count()
         if loads:
             parents = 0
             m = todo

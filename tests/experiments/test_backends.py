@@ -137,6 +137,22 @@ class TestMultiprocessingBackend:
         with pytest.raises(ValueError):
             MultiprocessingBackend(jobs=0)
 
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_matches_inline_under_start_method(self, method):
+        """A worker started without fork must unpickle its target, so a
+        lambda or a nested function there fails the batch."""
+        batch = [(0, task_for()), (1, task_for(dag="chain:4"))]
+        backend = MultiprocessingBackend(jobs=1)
+        backend._ctx = multiprocessing.get_context(method)
+        try:
+            pooled = dict(backend.run_tasks(batch))
+        finally:
+            backend.close()
+        inline = dict(InlineBackend().run_tasks(batch))
+        assert {k: (r.status, r.cost) for k, r in pooled.items()} == {
+            k: (r.status, r.cost) for k, r in inline.items()
+        }
+
 
 def _block(conn):
     """Worker stand-in: wait on the pipe until terminated."""
@@ -203,6 +219,21 @@ def test_concurrent_spawns_leak_no_sentinel_write_ends():
                 retire_pipe_worker(w)
         assert holders == []
         assert not any(w.process.is_alive() for w in workers)
+
+
+def test_worker_reads_eof_when_the_parent_closes_its_end():
+    """No other process may hold a worker's parent end: not a sibling
+    forked later, and not the worker itself."""
+    ctx = multiprocessing.get_context()
+    workers = [spawn_pipe_worker(ctx, _block) for _ in range(2)]
+    try:
+        for w in workers:  # the first spawned, then the last
+            w.conn.close()
+            w.process.join(timeout=5)
+            assert w.process.exitcode == 0
+    finally:
+        for w in workers:
+            retire_pipe_worker(w)
 
 
 class TestBackendForJobs:

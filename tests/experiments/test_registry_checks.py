@@ -5,24 +5,18 @@ This is the tier-1 regression gate for the paper's claims: each spec in
 or less) and its registered checks — Section 3's bounds, the Figure 4
 tradeoff, the eviction and Hong-Kung laws, decision thresholds, the
 2k'|VC| accounting, the greedy-defeating grid gap, the gadget cliffs,
-the Lemma 1 length bound, the table matrices — must hold.  A checked
-spec too slow for tier-1 must run in a ``bench run`` step of CI instead,
-and a test below holds every spec to one of the two.
+the Lemma 1 length bound, the table matrices — must hold.  A test below
+holds every checked spec to this list, or to ``hardness-smoke``'s own
+test module.
 """
-
-from pathlib import Path
 
 import pytest
 
 from repro.experiments import Runner, all_specs, checks_for, get_spec, run_spec_checks
 
-REPO = Path(__file__).resolve().parents[2]
-
-# every checked spec that runs in about a second or less per grid,
-# inline (beam-ablation's exact grid:4x4 cell is the slowest, at about
-# 1.2 s under the default A* bound); hardness-smoke has its own test
-# module, and any slower one runs in a CI `bench run` step
-# (test_every_checked_spec_runs_under_a_gate)
+# every checked spec but hardness-smoke, run inline; each takes about a
+# second or less per grid (beam-ablation's exact grid:4x4 cell is the
+# slowest, at about 1.2 s under the default A* bound)
 FAST_CHECKED_SPECS = [
     "smoke",
     "sec3-bounds",
@@ -55,20 +49,6 @@ FAST_CHECKED_SPECS = [
 ]
 
 
-def _ci_bench_run_specs():
-    """The spec names that CI passes to ``repro-pebble bench run``."""
-    names = set()
-    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
-    for line in ci.splitlines():
-        if "bench run " not in line:
-            continue
-        for token in line.split("bench run ", 1)[1].split():
-            if token.startswith("-") or token == "\\":
-                break
-            names.add(token)
-    return names
-
-
 @pytest.mark.parametrize("name", FAST_CHECKED_SPECS)
 def test_spec_runs_green_and_checks_hold(name):
     spec = get_spec(name)
@@ -83,18 +63,11 @@ def test_every_spec_is_gated():
 
 
 def test_every_checked_spec_runs_under_a_gate():
-    ci = _ci_bench_run_specs()
     for spec in all_specs():
-        if not checks_for(spec.name):
-            continue
-        assert (
-            spec.name in FAST_CHECKED_SPECS
-            or spec.name == "hardness-smoke"
-            or spec.name in ci
-        ), (
-            f"the checks of {spec.name!r} run neither in tier-1 nor in a "
-            f"`bench run` step of .github/workflows/ci.yml"
-        )
+        if checks_for(spec.name):
+            assert spec.name in FAST_CHECKED_SPECS or spec.name == "hardness-smoke", (
+                f"the checks of {spec.name!r} run in no tier-1 test"
+            )
 
 
 def test_check_failure_is_labelled():

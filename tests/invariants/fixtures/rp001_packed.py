@@ -1,4 +1,4 @@
-"""Known-violation fixture for RP001 (devtools: packed-state)."""
+"""Known-violation fixture for the 64-bit lane test (RP001)."""
 
 import numpy as np
 

@@ -1,4 +1,4 @@
-"""Known-violation fixture for RP006 (devtools: tests)."""
+"""Known-violation fixture for the test-determinism test (RP006)."""
 
 import random
 import time

@@ -92,9 +92,9 @@ class TestLowerBounds:
     def test_nodel_lower_bound_clamped_at_zero(self):
         assert nodel_lower_bound(chain_dag(3), 10) == 0
 
-    def test_compcost_lower_bound_counts_non_sources(self):
-        dag = chain_dag(5)  # 1 source + 4 non-sources
-        assert compcost_lower_bound(dag) == Fraction(4, 100)
+    def test_compcost_lower_bound_counts_every_required_node(self):
+        dag = chain_dag(5)  # the source is computed too
+        assert compcost_lower_bound(dag) == Fraction(5, 100)
 
     def test_compcost_lower_bound_is_sound(self):
         dag = pyramid_dag(2)

@@ -153,21 +153,21 @@ BITS_WORK = {
 
 #: (expanded, generated) of the default ``bits`` search (A* under the
 #: cost model's bound, equal-f ties to the larger g) on each GOLDEN cell
-#: (totals: 10,290 expanded, 14,810 generated).  Base and nodel have no
+#: (totals: 10,271 expanded, 14,796 generated).  Base and nodel have no
 #: bound, so their cells equal ``BITS_WORK``.  Pinned like ``BITS_WORK``.
 AUTO_WORK = {
     ("pyramid:2", "base", 3): (211, 283),
     ("pyramid:2", "oneshot", 3): (47, 87),
     ("pyramid:2", "nodel", 3): (99, 104),
-    ("pyramid:2", "compcost", 3): (126, 220),
+    ("pyramid:2", "compcost", 3): (117, 228),
     ("pyramid:2", "base", 4): (17, 65),
     ("pyramid:2", "oneshot", 4): (14, 50),
     ("pyramid:2", "nodel", 4): (77, 101),
-    ("pyramid:2", "compcost", 4): (11, 41),
+    ("pyramid:2", "compcost", 4): (6, 30),
     ("pyramid:2", "base", 5): (13, 46),
     ("pyramid:2", "oneshot", 5): (13, 46),
     ("pyramid:2", "nodel", 5): (44, 80),
-    ("pyramid:2", "compcost", 5): (11, 39),
+    ("pyramid:2", "compcost", 5): (6, 28),
     ("pyramid:3", "oneshot", 3): (611, 1199),
     ("pyramid:3", "oneshot", 4): (223, 642),
     ("pyramid:3", "nodel", 4): (1513, 1769),

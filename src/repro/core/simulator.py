@@ -13,6 +13,12 @@ keeps the legacy frozenset transition — it takes and returns public
 ``PebblingState`` objects, so converting per call would only add work;
 it also preserves an independent implementation of the rules at the API
 edge.
+
+Pricing.  Both execution paths count the moves of each kind (by
+``Move.kind_id``) and price each kind once, when the run ends: a kind has
+one price under a cost model, the one the transition functions return
+for every move of it, so the ``Fraction`` totals equal a move-by-move sum
+exactly without adding a ``Fraction`` per move.
 """
 
 from __future__ import annotations
@@ -140,33 +146,18 @@ class PebblingSimulator:
         costs = self.costs
         red_limit = self.red_limit
         bits = layout.encode_state(start)
-        breakdown = CostBreakdown()
-        total = Fraction(0)
-        steps = 0
+        counts = [0, 0, 0, 0]
         max_red = bits.red.bit_count()
 
         for i, move in enumerate(schedule):
-            bits, cost = apply_move_bits(layout, bits, move, costs, red_limit, i)
-            breakdown.record(move, cost)
-            total += cost
-            steps += 1
+            bits, _ = apply_move_bits(layout, bits, move, costs, red_limit, i)
+            counts[move.kind_id] += 1
             reds = bits.red.bit_count()
             if reds > max_red:
                 max_red = reds
 
-        state = layout.decode_state(bits)
-        complete = self.is_complete(state)
-        if require_complete and not complete:
-            missing = [s for s in self.dag.sinks if not state.has_pebble(s)]
-            raise IncompletePebblingError(missing)
-
-        return ExecutionResult(
-            cost=total,
-            breakdown=breakdown,
-            final_state=state,
-            steps=steps,
-            complete=complete,
-            max_red_in_use=max_red,
+        return self._result(
+            layout.decode_state(bits), counts, max_red, require_complete
         )
 
     def _run_legacy(
@@ -177,29 +168,43 @@ class PebblingSimulator:
         require_complete: bool,
     ) -> ExecutionResult:
         """Frozenset-based execution path (states with out-of-DAG nodes)."""
-        breakdown = CostBreakdown()
-        total = Fraction(0)
-        steps = 0
+        counts = [0, 0, 0, 0]
         max_red = len(state.red)
 
         for i, move in enumerate(schedule):
-            state, cost = self.step(state, move, i)
-            breakdown.record(move, cost)
-            total += cost
-            steps += 1
+            state, _ = self.step(state, move, i)
+            counts[move.kind_id] += 1
             if len(state.red) > max_red:
                 max_red = len(state.red)
 
+        return self._result(state, counts, max_red, require_complete)
+
+    def _result(
+        self,
+        state: PebblingState,
+        counts: List[int],
+        max_red: int,
+        require_complete: bool,
+    ) -> ExecutionResult:
+        """Check a finished run and price it from its move counts, indexed
+        by ``kind_id`` (see the module docstring)."""
         complete = self.is_complete(state)
         if require_complete and not complete:
             missing = [s for s in self.dag.sinks if not state.has_pebble(s)]
             raise IncompletePebblingError(missing)
 
+        costs = self.costs
+        b = CostBreakdown()
+        b.loads, b.stores, b.computes, b.deletes = counts
+        b.load_cost = costs.load_cost * b.loads
+        b.store_cost = costs.store_cost * b.stores
+        b.compute_cost = costs.compute_cost * b.computes
+        b.delete_cost = costs.delete_cost * b.deletes
         return ExecutionResult(
-            cost=total,
-            breakdown=breakdown,
+            cost=b.total_cost,
+            breakdown=b,
             final_state=state,
-            steps=steps,
+            steps=sum(counts),
             complete=complete,
             max_red_in_use=max_red,
         )

@@ -40,29 +40,11 @@ class BeamResult:
     expanded: int
 
 
-def _cost_of(pebbler: OnlinePebbler) -> Fraction:
-    costs = pebbler.instance.costs
-    from ..core.moves import Compute, Load, Store
-
-    total = Fraction(0)
-    for m in pebbler.moves:
-        if isinstance(m, Load):
-            total += costs.load_cost
-        elif isinstance(m, Store):
-            total += costs.store_cost
-        elif isinstance(m, Compute):
-            total += costs.compute_cost
-        else:
-            total += costs.delete_cost
-    return total
-
-
 def beam_search_pebble(
     instance: PebblingInstance,
     *,
     beam_width: int = 16,
     eviction: Optional[EvictionPolicy] = None,
-    validate: bool = True,
 ) -> BeamResult:
     """Pebble ``instance`` by beam search over the computation order.
 
@@ -70,10 +52,15 @@ def beam_search_pebble(
     clone); at every level each entry is extended by all its ready nodes
     and the ``beam_width`` cheapest results survive (ties broken by a
     board signature for determinism).  Duplicate boards are merged,
-    keeping the cheaper history.
+    keeping the cheaper history.  An entry's cost is its parent's plus
+    the price of the moves its compute added; the winner's schedule is
+    replayed through the simulator, whose cost is the one reported.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
+    costs = instance.costs
+    # indexed by Move.kind_id
+    price = (costs.load_cost, costs.store_cost, costs.compute_cost, costs.delete_cost)
     total_nodes = instance.dag.n_nodes
     beam: List[Tuple[Fraction, OnlinePebbler, List[Node]]] = [
         (Fraction(0), OnlinePebbler(instance, eviction=eviction), [])
@@ -88,7 +75,9 @@ def beam_search_pebble(
                 twin = pebbler.clone()
                 twin.compute_next(v)
                 expanded += 1
-                tcost = _cost_of(twin)
+                tcost = cost + sum(
+                    price[m.kind_id] for m in twin.moves[len(pebbler.moves):]
+                )
                 # bitmask board signature: three ints, cheap to hash
                 signature = (twin.red_mask, twin.blue_mask, twin.computed_mask)
                 prev = seen_boards.get(signature)
@@ -101,14 +90,12 @@ def beam_search_pebble(
         candidates.sort(key=lambda item: (item[0], repr(item[2])))
         beam = candidates[:beam_width]
 
-    best_cost, best_pebbler, best_order = beam[0]
+    _, best_pebbler, best_order = beam[0]
     schedule = best_pebbler.schedule()
-    if validate:
-        result = PebblingSimulator(instance).run(schedule, require_complete=True)
-        best_cost = result.cost
+    result = PebblingSimulator(instance).run(schedule, require_complete=True)
     return BeamResult(
         schedule=schedule,
-        cost=best_cost,
+        cost=result.cost,
         order=tuple(best_order),
         beam_width=beam_width,
         expanded=expanded,

@@ -22,6 +22,17 @@ uncomputed consumers, then the topological index — this reproduces the
 paper's group-level walk on the Theorem 4 grid (verified by the
 reduction's tests) while remaining a purely local rule.
 
+Selection runs on the pebbler's bitmask board (:mod:`repro.core.bitstate`).
+The ready set is a mask: it starts at the layout's sources, and after
+each compute it loses the computed node and gains every consumer whose
+parent mask is now inside ``computed``.  A candidate's score is the
+popcount of its parent mask and ``red`` (or ``blue``).  Its secondary
+key scans only those of its consumers that also consume a red node, the
+only nodes whose red-input count is not zero.  (A ready node's consumers
+are all uncomputed, since a node is computed only after its inputs.)
+Bit index is topological position, so the first best candidate of an
+ascending scan wins the final tie-break.
+
 For base/nodel/compcost the greedy is interpreted as ordering the *first*
 computation of every node (Appendix A.4); the pebbler's model-aware
 acquisition/eviction then realises each step in the cheapest legal way
@@ -31,10 +42,12 @@ acquisition/eviction then realises each step in the cheapest legal way
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+from ..core.bitstate import bit_layout, iter_bits
 from ..core.dag import Node
 from ..core.instance import PebblingInstance
 from ..core.schedule import Schedule
@@ -78,81 +91,69 @@ class GreedyResult:
     rule: GreedyRule
 
 
-def _score(pebbler: OnlinePebbler, v: Node, rule: GreedyRule) -> float:
-    indeg = pebbler.dag.indegree(v)
-    red = pebbler.red_inputs(v)
-    if rule is GreedyRule.MOST_RED_INPUTS:
-        return float(red)
-    if rule is GreedyRule.FEWEST_BLUE_INPUTS:
-        return -float(pebbler.blue_inputs(v))
-    if rule is GreedyRule.RED_RATIO:
-        return red / indeg if indeg else 0.0
-    raise AssertionError(rule)  # pragma: no cover
-
-
-def _secondary(pebbler: OnlinePebbler, v: Node) -> float:
-    """Red-input count of v's best uncomputed consumer (see module doc)."""
-    best = 0
-    for w in pebbler.dag.successors(v):
-        if not pebbler.is_computed(w):
-            r = pebbler.red_inputs(w)
-            if r > best:
-                best = r
-    return float(best)
-
-
 def greedy_pebble(
     instance: PebblingInstance,
     rule: "GreedyRule | str" = GreedyRule.MOST_RED_INPUTS,
     *,
     eviction: Optional[EvictionPolicy] = None,
-    validate: bool = True,
 ) -> GreedyResult:
     """Run one greedy rule to completion on ``instance``.
 
     Every node of the DAG is computed exactly once, in the order the rule
-    dictates; the returned schedule is replayed through the simulator
-    (``validate=True``) so the reported cost is authoritative.
+    dictates; the returned schedule is replayed through the simulator so
+    the reported cost is authoritative.
     """
     if isinstance(rule, str):
         rule = GreedyRule(rule)
     pebbler = OnlinePebbler(instance, eviction=eviction)
+    layout = bit_layout(instance.dag)
+    nodes = layout.nodes
+    parent_masks = layout.parent_masks
+    succ_masks = layout.succ_masks
     order: List[Node] = []
-    topo_pos = {v: i for i, v in enumerate(instance.dag.topological_order())}
 
-    total = instance.dag.n_nodes
-    for _ in range(total):
-        ready = pebbler.ready_nodes()
-        if not ready:
-            break  # all nodes computed
-        v = max(
-            ready,
-            key=lambda u: (
-                _score(pebbler, u, rule),
-                _secondary(pebbler, u),
-                -topo_pos[u],
-            ),
-        )
+    ready = layout.source_mask
+    while ready:
+        red = pebbler.red_mask
+        counted = pebbler.blue_mask if rule is GreedyRule.FEWEST_BLUE_INPUTS else red
+        # consumers of red nodes: the only nonzero red-input counts (a
+        # ready node's consumers are all uncomputed)
+        hot = 0
+        for r in iter_bits(red):
+            hot |= succ_masks[r]
+        best, best_score, best_secondary = -1, -math.inf, 0
+        for i in iter_bits(ready):
+            inputs = parent_masks[i]
+            count = (inputs & counted).bit_count()
+            if rule is GreedyRule.MOST_RED_INPUTS:
+                score: float = count
+            elif rule is GreedyRule.FEWEST_BLUE_INPUTS:
+                score = -count
+            else:
+                score = count / inputs.bit_count() if inputs else 0.0
+            if score < best_score:
+                continue
+            secondary = 0
+            warm = succ_masks[i] & hot
+            if warm:  # most candidates have none; skip the generator
+                for j in iter_bits(warm):
+                    reds = (parent_masks[j] & red).bit_count()
+                    if reds > secondary:
+                        secondary = reds
+            # strict: an equal key keeps the lower bit (topological index)
+            if score > best_score or secondary > best_secondary:
+                best, best_score, best_secondary = i, score, secondary
+        v = nodes[best]
         pebbler.compute_next(v)
         order.append(v)
+        computed = pebbler.computed_mask
+        ready &= ~(1 << best)
+        for j in iter_bits(succ_masks[best]):
+            if parent_masks[j] & ~computed == 0:
+                ready |= 1 << j
 
     schedule = pebbler.schedule()
-    if validate:
-        result = PebblingSimulator(instance).run(schedule, require_complete=True)
-        cost = result.cost
-    else:
-        cost = Fraction(0)
-        for move in schedule:
-            # untrusted fast path: price moves directly
-            from ..core.moves import Compute, Load, Store
-
-            costs = instance.costs
-            if isinstance(move, Load):
-                cost += costs.load_cost
-            elif isinstance(move, Store):
-                cost += costs.store_cost
-            elif isinstance(move, Compute):
-                cost += costs.compute_cost
-            else:
-                cost += costs.delete_cost
-    return GreedyResult(schedule=schedule, cost=cost, order=tuple(order), rule=rule)
+    result = PebblingSimulator(instance).run(schedule, require_complete=True)
+    return GreedyResult(
+        schedule=schedule, cost=result.cost, order=tuple(order), rule=rule
+    )

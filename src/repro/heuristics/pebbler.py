@@ -150,9 +150,6 @@ class OnlinePebbler:
     def computed_mask(self) -> int:
         return self._computed
 
-    def is_computed(self, v: Node) -> bool:
-        return self._computed >> self._layout.index[v] & 1 == 1
-
     def remaining_uses_of(self, v: Node) -> int:
         """Number of consumers of ``v`` not yet computed."""
         return self._remaining[self._layout.index[v]]
@@ -163,7 +160,8 @@ class OnlinePebbler:
 
     def ready_nodes(self) -> List[Node]:
         """Uncomputed nodes whose inputs have all been computed — the
-        candidate set of the Section 8 greedy algorithms."""
+        candidates of beam search (the greedy rules keep the same set as
+        a mask, updated per compute)."""
         layout = self._layout
         computed = self._computed
         parent_masks = layout.parent_masks
@@ -173,12 +171,6 @@ class OnlinePebbler:
             for i in iter_bits(layout.full_mask & ~computed)
             if parent_masks[i] & ~computed == 0
         ]
-
-    def red_inputs(self, v: Node) -> int:
-        return (self._layout.parent_masks[self._layout.index[v]] & self._red).bit_count()
-
-    def blue_inputs(self, v: Node) -> int:
-        return (self._layout.parent_masks[self._layout.index[v]] & self._blue).bit_count()
 
     def schedule(self) -> Schedule:
         return Schedule(self.moves)

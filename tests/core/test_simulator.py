@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from repro import (
+    DEFAULT_EPSILON,
     ComputationDAG,
     Compute,
     Delete,
@@ -15,9 +16,15 @@ from repro import (
     Model,
     PebblingInstance,
     PebblingSimulator,
+    PebblingState,
     Schedule,
     Store,
+    apply_move_bits,
+    bit_layout,
 )
+from repro.core.bitstate import BitState
+from repro.generators import grid_stencil_dag, layered_random_dag, pyramid_dag
+from repro.heuristics import fixed_order_schedule, greedy_pebble, topological_schedule
 
 
 @pytest.fixture
@@ -171,3 +178,65 @@ class TestTrace:
     def test_trace_length(self, chain3):
         sim = make_sim(chain3, R=3)
         assert len(sim.trace([Compute("a")])) == 1
+
+
+
+def per_kind_sums(inst, schedule):
+    """Counts, then costs, of Load/Store/Compute/Delete, summed from
+    ``apply_move_bits`` one move at a time."""
+    layout = bit_layout(inst.dag)
+    bits = BitState.initial()
+    kinds = (Load, Store, Compute, Delete)
+    counts = dict.fromkeys(kinds, 0)
+    costs = dict.fromkeys(kinds, Fraction(0))
+    for i, move in enumerate(schedule):
+        bits, cost = apply_move_bits(layout, bits, move, inst.costs, inst.red_limit, i)
+        counts[type(move)] += 1
+        costs[type(move)] += cost
+    return tuple(counts[k] for k in kinds) + tuple(costs[k] for k in kinds)
+
+
+class TestPricingPerKind:
+    """``run`` and ``_run_legacy`` count moves per kind and price each kind
+    once; every breakdown field must equal the per-move sum."""
+
+    @pytest.mark.parametrize(
+        "model,epsilon",
+        [(m, DEFAULT_EPSILON) for m in ("base", "oneshot", "nodel", "compcost")]
+        + [("compcost", Fraction(7, 1000))],
+    )
+    def test_breakdown_equals_per_move_sums(self, model, epsilon):
+        dags = [
+            pyramid_dag(3),
+            grid_stencil_dag(3, 3),
+            layered_random_dag([4, 3, 3, 2], indegree=2, seed=5),
+        ]
+        seen = set()
+        for dag in dags:
+            for extra in (0, 2):
+                inst = PebblingInstance(
+                    dag=dag, model=model, red_limit=dag.min_red_pebbles + extra,
+                    epsilon=epsilon,
+                )
+                sim = PebblingSimulator(inst)
+                for schedule in (
+                    greedy_pebble(inst).schedule,
+                    fixed_order_schedule(inst),
+                    topological_schedule(inst),
+                ):
+                    expected = per_kind_sums(inst, schedule)
+                    seen.update(k for k, n in zip("LSCD", expected[:4]) if n)
+                    fast = sim.run(schedule, require_complete=True)
+                    legacy = sim._run_legacy(
+                        schedule, PebblingState.initial(), require_complete=True
+                    )
+                    for res in (fast, legacy):
+                        b = res.breakdown
+                        assert (
+                            b.loads, b.stores, b.computes, b.deletes,
+                            b.load_cost, b.store_cost, b.compute_cost, b.delete_cost,
+                        ) == expected
+                        assert res.cost == b.total_cost
+                        assert res.steps == len(schedule)
+        # every kind the model allows is exercised
+        assert seen == (set("LSC") if model == "nodel" else set("LSCD"))

@@ -1,15 +1,19 @@
 """Tests for the Section 8 greedy rules."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import ComputationDAG, PebblingInstance, validate_schedule
 from repro.generators import (
+    dag_from_spec,
     independent_tasks_dag,
     layered_random_dag,
     pyramid_dag,
 )
-from repro.heuristics import GreedyRule, greedy_pebble
+from repro.heuristics import GreedyRule, OnlinePebbler, greedy_pebble
 from repro.solvers import solve_optimal, upper_bound_naive
+
+from ..test_properties import small_dags
 
 
 ALL_RULES = list(GreedyRule)
@@ -116,3 +120,95 @@ class TestPaperProperties:
 
         inst = make(chain_dag(10), R=2)
         assert greedy_pebble(inst).cost == 0
+
+
+# --------------------------------------------------------------------------- #
+# differential: the mask selection against a node-level reference
+# --------------------------------------------------------------------------- #
+
+MODELS = ["base", "oneshot", "nodel", "compcost"]
+
+#: the kernel DAGs and budgets of the ``heur:portfolio`` cells in
+#: perfbench/cells.py (``KERNELS``), copied so the tests never import the
+#: benchmark: the ``workloads-smoke`` grid and the Theorem 4 grid
+KERNELS = [
+    ("matmul:4:b2", 4),
+    ("matmul:4:b2", 8),
+    ("conv:6:3:c2", 4),
+    ("conv:6:3:c2", 8),
+    ("attn:3:h2", 4),
+    ("attn:3:h2", 8),
+    ("stencil:3x3:t2", 8),
+    ("butterfly:3", 4),
+    ("butterfly:3", 8),
+    ("ggrid:4x12", 17),
+]
+
+
+def reference_greedy(instance, rule):
+    """The rule at node level: the ready node maximising (score, the best
+    uncomputed consumer's red-input count, minus the topological index).
+
+    It reads only the pebbler's decoded node sets and the DAG's adjacency,
+    and shares no mask code with :func:`greedy_pebble`.
+    """
+    dag = instance.dag
+    topo = dag.topological_order()
+    position = {v: i for i, v in enumerate(topo)}
+    pebbler = OnlinePebbler(instance)
+    order = []
+    while True:
+        red, blue, computed = pebbler.red, pebbler.blue, pebbler.computed
+        ready = [
+            v for v in topo
+            if v not in computed and all(p in computed for p in dag.predecessors(v))
+        ]
+        if not ready:
+            break
+
+        def red_inputs(v):
+            return sum(1 for p in dag.predecessors(v) if p in red)
+
+        def key(v):
+            indegree = len(dag.predecessors(v))
+            if rule is GreedyRule.MOST_RED_INPUTS:
+                score = float(red_inputs(v))
+            elif rule is GreedyRule.FEWEST_BLUE_INPUTS:
+                score = -float(sum(1 for p in dag.predecessors(v) if p in blue))
+            else:
+                score = red_inputs(v) / indegree if indegree else 0.0
+            secondary = max(
+                (red_inputs(w) for w in dag.successors(v) if w not in computed),
+                default=0,
+            )
+            return (score, float(secondary), -position[v])
+
+        v = max(ready, key=key)
+        pebbler.compute_next(v)
+        order.append(v)
+    return tuple(order), pebbler.schedule()
+
+
+def assert_matches_reference(inst):
+    for rule in ALL_RULES:
+        result = greedy_pebble(inst, rule)
+        order, schedule = reference_greedy(inst, rule)
+        assert result.order == order, rule
+        assert result.schedule == schedule, rule
+
+
+class TestMaskSelectionMatchesReference:
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        dag=small_dags(max_nodes=9, max_indegree=3),
+        model=st.sampled_from(MODELS),
+        extra=st.integers(0, 2),
+    )
+    def test_small_dags(self, dag, model, extra):
+        assert_matches_reference(make(dag, model, R=dag.min_red_pebbles + extra))
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("spec,R", KERNELS)
+    def test_kernel_dags(self, spec, R, model):
+        assert_matches_reference(make(dag_from_spec(spec), model, R=R))

@@ -66,12 +66,9 @@ from .core import (
     SolverError,
     Store,
     ValidationReport,
-    apply_move,
     apply_move_bits,
     bit_layout,
     cost_model_for,
-    legal_moves,
-    legal_moves_bits,
     move_from_tuple,
     validate_schedule,
 )
@@ -97,13 +94,10 @@ __all__ = [
     "Schedule",
     "CostBreakdown",
     "PebblingState",
-    "apply_move",
-    "legal_moves",
     "BitLayout",
     "BitState",
     "bit_layout",
     "apply_move_bits",
-    "legal_moves_bits",
     "PebblingSimulator",
     "ExecutionResult",
     "ValidationReport",

@@ -407,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(p)
     p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("--show-schedule", action="store_true")
-    p.add_argument("--engine", default="bits",
-                   help="search engine: bits (default), legacy, numpy")
+    p.add_argument("--engine", default="bits", choices=["bits", "numpy"],
+                   help="search engine (default: bits)")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("greedy", help="greedy pebbling (Section 8 rules)")

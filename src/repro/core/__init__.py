@@ -9,7 +9,6 @@ from .bitstate import (
     BitState,
     apply_move_bits,
     bit_layout,
-    legal_moves_bits,
 )
 from .dag import ComputationDAG, Node
 from .errors import (
@@ -30,7 +29,7 @@ from .models import ALL_MODELS, DEFAULT_EPSILON, CostModel, Model, cost_model_fo
 from .moves import Compute, Delete, Load, Move, Store, move_from_tuple
 from .schedule import CostBreakdown, Schedule
 from .simulator import ExecutionResult, PebblingSimulator
-from .state import PebblingState, apply_move, legal_moves
+from .state import PebblingState
 from .validation import ValidationReport, validate_schedule
 
 __all__ = [
@@ -51,13 +50,10 @@ __all__ = [
     "Schedule",
     "CostBreakdown",
     "PebblingState",
-    "apply_move",
-    "legal_moves",
     "BitLayout",
     "BitState",
     "bit_layout",
     "apply_move_bits",
-    "legal_moves_bits",
     "PebblingSimulator",
     "ExecutionResult",
     "ValidationReport",

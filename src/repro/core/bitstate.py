@@ -1,11 +1,12 @@
-"""Bitmask encoding of pebbling states — the fast path of the engine.
+"""Bitmask encoding of pebbling states and the one scalar transition function.
 
 Every hot loop in this repository (the exact solvers, the simulator, the
 heuristic pebblers) ultimately manipulates triples of node sets
-``(red, blue, computed)``.  The legacy representation,
+``(red, blue, computed)``.  The public value type,
 :class:`~repro.core.state.PebblingState`, stores them as ``frozenset``s:
-flexible, but every transition allocates three fresh sets and re-hashes
-them.  This module provides the canonical *bitmask* encoding instead:
+readable, but every transition would allocate three fresh sets and
+re-hash them.  This module provides the canonical *bitmask* encoding
+instead:
 
 * a :class:`BitLayout` assigns every DAG node a bit index (its position in
   the DAG's topological order) and precomputes the masks searches need —
@@ -18,25 +19,22 @@ Conversion boundary
 -------------------
 :class:`PebblingState <repro.core.state.PebblingState>` remains the public
 API: schedules, validation and serialization are unchanged.  Code converts
-at the edge via :meth:`BitLayout.encode_state` / :meth:`BitLayout.decode_state`
-(or ``PebblingState.to_bits`` / ``from_bits``), runs its hot loop on
-masks, and decodes at the end.  :func:`apply_move_bits` /
-:func:`legal_moves_bits` mirror :func:`repro.core.state.apply_move` /
-:func:`repro.core.state.legal_moves` move-for-move, raising the same
-error types with the same messages; the differential test-suite
-(``tests/core/test_bitstate_differential.py``) pins this equivalence with
-hypothesis-generated DAGs and move sequences.
+at the edge via :meth:`BitLayout.encode_state` / :meth:`BitLayout.decode_state`,
+runs its hot loop on masks, and decodes at the end.
 
-When debugging, prefer the legacy path (``engine="legacy"`` on the
-solvers, :func:`repro.core.state.apply_move` directly): states print as
-readable node sets and the implementation is the straightforward
-transcription of the paper's rules.  The bitmask path is the one to
-profile and the one production callers get by default.
+:func:`apply_move_bits` is the package's one scalar transcription of the
+four moves and their prices; :meth:`PebblingSimulator.run
+<repro.core.simulator.PebblingSimulator.run>` and ``step`` both run on it.
+:func:`repro.core.validation.validate_schedule` is the independent audit.
+The differential test-suite (``tests/core/test_bitstate_differential.py``)
+checks every accept, reject, error type, cost and resulting state against
+a frozenset transcription of the rules kept in the tests, on
+hypothesis-generated DAGs and move sequences.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .dag import ComputationDAG, Node
 from .errors import (
@@ -49,8 +47,6 @@ from .models import CostModel
 from .moves import Compute, Delete, Load, Move, Store
 
 if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-
     from .state import PebblingState
 
 __all__ = [
@@ -58,21 +54,8 @@ __all__ = [
     "BitState",
     "bit_layout",
     "apply_move_bits",
-    "legal_moves_bits",
     "iter_bits",
 ]
-
-
-def _require_numpy() -> Any:
-    """Import numpy lazily so :mod:`repro.core` works without it installed."""
-    try:
-        import numpy
-    except ImportError as exc:  # pragma: no cover - numpy is a dependency
-        raise ImportError(
-            "numpy is required for batched state arrays "
-            "(pip install numpy, or use the pure-python engines)"
-        ) from exc
-    return numpy
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -207,34 +190,6 @@ class BitLayout:
         )
 
     # ------------------------------------------------------------------ #
-    # batched (numpy) conversion
-    # ------------------------------------------------------------------ #
-
-    def encode_states(self, states: Iterable[BitState]) -> np.ndarray:
-        """Pack states into a ``(B, 3)`` uint64 array (red, blue, computed).
-
-        This is the conversion boundary of the batched numpy engine
-        (:mod:`repro.solvers.batch_kernel`): one row per state, one
-        column per mask.  Only layouts with at most 64 nodes fit a
-        uint64 lane; larger DAGs must stay on the arbitrary-precision
-        integer path.
-        """
-        np = _require_numpy()
-        if self.n > 64:
-            raise ValueError(
-                f"uint64 state arrays hold at most 64 nodes, layout has {self.n}"
-            )
-        rows = [(s.red, s.blue, s.computed) for s in states]
-        return np.array(rows, dtype=np.uint64).reshape(len(rows), 3)
-
-    def decode_states(self, array: np.ndarray) -> List[BitState]:
-        """Inverse of :meth:`encode_states` (rows back to :class:`BitState`)."""
-        return [
-            BitState(int(red), int(blue), int(computed))
-            for red, blue, computed in array.tolist()
-        ]
-
-    # ------------------------------------------------------------------ #
     # derived masks
     # ------------------------------------------------------------------ #
 
@@ -275,7 +230,7 @@ def bit_layout(dag: ComputationDAG) -> BitLayout:
 
 
 # ---------------------------------------------------------------------- #
-# transitions (mirror repro.core.state.apply_move / legal_moves exactly)
+# the transition function
 # ---------------------------------------------------------------------- #
 
 
@@ -287,11 +242,18 @@ def apply_move_bits(
     red_limit: int,
     step: "int | None" = None,
 ) -> Tuple[BitState, "object"]:
-    """Bitmask twin of :func:`repro.core.state.apply_move`.
+    """Apply one move to a state, returning ``(new_state, cost)``.
 
-    Same legality rules, same error types and messages, same costs —
-    differential-tested against the legacy implementation.  Returns
-    ``(new_state, cost)`` with the cost a :class:`fractions.Fraction`.
+    Raises a subclass of :class:`IllegalMoveError` when the move violates
+    the rules of the model described by ``costs``:
+
+    * Load needs a blue pebble on the node and a free red slot;
+    * Store needs a red pebble on the node;
+    * Compute needs every input red, a free red slot, the node not already
+      red, and (oneshot) the node never computed before;
+    * Delete needs a pebble on the node and is illegal in nodel.
+
+    The cost is the model's :class:`fractions.Fraction` price of the move.
     """
     red, blue, computed = state
     v = move.node
@@ -337,48 +299,3 @@ def apply_move_bits(
         raise IllegalMoveError(move, "node holds no pebble", step)
 
     raise IllegalMoveError(move, f"unknown move type {type(move).__name__}", step)
-
-
-def legal_moves_bits(
-    layout: BitLayout,
-    state: BitState,
-    costs: CostModel,
-    red_limit: int,
-    *,
-    prune_delete_blue: bool = True,
-) -> Iterator[Move]:
-    """Bitmask twin of :func:`repro.core.state.legal_moves`.
-
-    Yields the same move set (as :class:`Move` objects) for the same
-    state; see the legacy docstring for the ``prune_delete_blue``
-    rationale.  Solvers do not call this — the search kernel inlines the
-    expansion — but the simulator, the differential tests, and any
-    bitmask-native caller that needs real ``Move`` objects do.
-    """
-    red, blue, computed = state
-    nodes = layout.nodes
-    has_red_slot = red.bit_count() < red_limit
-
-    if has_red_slot:
-        for i in iter_bits(blue):
-            yield Load(nodes[i])
-
-    for i in iter_bits(red):
-        yield Store(nodes[i])
-
-    if has_red_slot:
-        if costs.recompute_allowed:
-            candidates = layout.full_mask & ~red
-        else:
-            candidates = layout.full_mask & ~computed
-        parent_masks = layout.parent_masks
-        for i in iter_bits(candidates):
-            if parent_masks[i] & ~red == 0:
-                yield Compute(nodes[i])
-
-    if costs.delete_allowed:
-        for i in iter_bits(red):
-            yield Delete(nodes[i])
-        if not prune_delete_blue:
-            for i in iter_bits(blue):
-                yield Delete(nodes[i])

@@ -5,7 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
-from .moves import Compute, Delete, Load, Move, Store
+from .dag import Node
+from .moves import Move
 
 __all__ = ["Schedule", "CostBreakdown"]
 
@@ -30,22 +31,6 @@ class CostBreakdown:
         self.store_cost = Fraction(0)
         self.compute_cost = Fraction(0)
         self.delete_cost = Fraction(0)
-
-    def record(self, move: Move, cost: Fraction) -> None:
-        if isinstance(move, Load):
-            self.loads += 1
-            self.load_cost += cost
-        elif isinstance(move, Store):
-            self.stores += 1
-            self.store_cost += cost
-        elif isinstance(move, Compute):
-            self.computes += 1
-            self.compute_cost += cost
-        elif isinstance(move, Delete):
-            self.deletes += 1
-            self.delete_cost += cost
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown move {move!r}")
 
     @property
     def transfers(self) -> int:

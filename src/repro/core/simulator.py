@@ -5,20 +5,19 @@ higher layers (heuristics, strategy emitters, reductions) ultimately
 justify their cost claims by running their schedules through it, and the
 test-suite cross-checks every analytic cost formula against it.
 
-Schedule execution (:meth:`PebblingSimulator.run`) operates natively on
-the bitmask encoding of :mod:`repro.core.bitstate`: the board is three
-ints for the whole run and only the final state is decoded back to a
-:class:`PebblingState`.  The stepping API (:meth:`PebblingSimulator.step`)
-keeps the legacy frozenset transition — it takes and returns public
-``PebblingState`` objects, so converting per call would only add work;
-it also preserves an independent implementation of the rules at the API
-edge.
+Both APIs run on :func:`~repro.core.bitstate.apply_move_bits`.  Schedule
+execution (:meth:`PebblingSimulator.run`) keeps the board as three ints
+for the whole run and decodes only the final state back to a
+:class:`PebblingState`; the stepping API (:meth:`PebblingSimulator.step`,
+and :meth:`~PebblingSimulator.trace` over it) takes and returns public
+``PebblingState`` objects, encoding at the edge and decoding the state
+that comes back.
 
-Pricing.  Both execution paths count the moves of each kind (by
-``Move.kind_id``) and price each kind once, when the run ends: a kind has
-one price under a cost model, the one the transition functions return
-for every move of it, so the ``Fraction`` totals equal a move-by-move sum
-exactly without adding a ``Fraction`` per move.
+Pricing.  :meth:`~PebblingSimulator.run` counts the moves of each kind
+(by ``Move.kind_id``) and prices each kind once, when the run ends: a
+kind has one price under a cost model, the one the transition function
+returns for every move of it, so the ``Fraction`` totals equal a
+move-by-move sum exactly without adding a ``Fraction`` per move.
 """
 
 from __future__ import annotations
@@ -27,13 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
 
-from .bitstate import apply_move_bits, bit_layout
+from .bitstate import BitState, apply_move_bits, bit_layout
 from .dag import ComputationDAG
 from .errors import IncompletePebblingError
 from .instance import PebblingInstance
 from .moves import Move
 from .schedule import CostBreakdown, Schedule
-from .state import PebblingState, apply_move
+from .state import PebblingState
 
 __all__ = ["ExecutionResult", "PebblingSimulator"]
 
@@ -76,9 +75,8 @@ class PebblingSimulator:
     """Executes move sequences for one :class:`PebblingInstance`.
 
     The simulator is stateless between calls; each :meth:`run` starts from
-    the empty board (or an explicit ``initial_state``).  The stepping API
-    (:meth:`initial_state` / :meth:`step`) serves solvers that need
-    incremental execution.
+    the empty board.  The stepping API (:meth:`initial_state` /
+    :meth:`step`) serves callers that need incremental execution.
     """
 
     def __init__(self, instance: PebblingInstance) -> None:
@@ -99,12 +97,17 @@ class PebblingSimulator:
     ) -> Tuple[PebblingState, Fraction]:
         """Apply one move, returning ``(new_state, move_cost)``.
 
-        Raises :class:`~repro.core.errors.IllegalMoveError` (or a subclass)
-        if the move is illegal in ``state`` under this instance's model.
+        ``state`` holds nodes of this instance's DAG only (it is encoded
+        under the DAG's :class:`~repro.core.bitstate.BitLayout`).  Raises
+        :class:`~repro.core.errors.IllegalMoveError` (or a subclass) if the
+        move is illegal in ``state`` under this instance's model.
         """
-        return apply_move(
-            state, move, self.dag, self.costs, self.red_limit, step_index
+        layout = bit_layout(self.dag)
+        bits, cost = apply_move_bits(
+            layout, layout.encode_state(state), move, self.costs,
+            self.red_limit, step_index,
         )
+        return layout.decode_state(bits), cost
 
     def is_complete(self, state: PebblingState) -> bool:
         return state.is_complete(self.dag)
@@ -117,37 +120,25 @@ class PebblingSimulator:
         self,
         schedule: "Schedule | Iterable[Move]",
         *,
-        initial_state: Optional[PebblingState] = None,
         require_complete: bool = False,
     ) -> ExecutionResult:
-        """Execute a full schedule and return its priced outcome.
+        """Execute a full schedule from the empty board and return its
+        priced outcome.
 
         Parameters
         ----------
         schedule:
             The moves to execute, in order.
-        initial_state:
-            Board to start from (default: empty).
         require_complete:
             If True, raise :class:`IncompletePebblingError` when the final
             state leaves some sink unpebbled.
         """
-        start = initial_state if initial_state is not None else PebblingState.initial()
         layout = bit_layout(self.dag)
-        index = layout.index
-        if any(v not in index for v in start.red | start.blue | start.computed):
-            # states mentioning nodes outside the DAG cannot be encoded;
-            # fall back to the legacy stepper (moves on such nodes would be
-            # rejected either way, but the foreign pebbles must survive)
-            return self._run_legacy(
-                schedule, start, require_complete=require_complete
-            )
-
         costs = self.costs
         red_limit = self.red_limit
-        bits = layout.encode_state(start)
+        bits = BitState.initial()
         counts = [0, 0, 0, 0]
-        max_red = bits.red.bit_count()
+        max_red = 0
 
         for i, move in enumerate(schedule):
             bits, _ = apply_move_bits(layout, bits, move, costs, red_limit, i)
@@ -156,44 +147,13 @@ class PebblingSimulator:
             if reds > max_red:
                 max_red = reds
 
-        return self._result(
-            layout.decode_state(bits), counts, max_red, require_complete
-        )
-
-    def _run_legacy(
-        self,
-        schedule: "Schedule | Iterable[Move]",
-        state: PebblingState,
-        *,
-        require_complete: bool,
-    ) -> ExecutionResult:
-        """Frozenset-based execution path (states with out-of-DAG nodes)."""
-        counts = [0, 0, 0, 0]
-        max_red = len(state.red)
-
-        for i, move in enumerate(schedule):
-            state, _ = self.step(state, move, i)
-            counts[move.kind_id] += 1
-            if len(state.red) > max_red:
-                max_red = len(state.red)
-
-        return self._result(state, counts, max_red, require_complete)
-
-    def _result(
-        self,
-        state: PebblingState,
-        counts: List[int],
-        max_red: int,
-        require_complete: bool,
-    ) -> ExecutionResult:
-        """Check a finished run and price it from its move counts, indexed
-        by ``kind_id`` (see the module docstring)."""
+        state = layout.decode_state(bits)
         complete = self.is_complete(state)
         if require_complete and not complete:
             missing = [s for s in self.dag.sinks if not state.has_pebble(s)]
             raise IncompletePebblingError(missing)
 
-        costs = self.costs
+        # a kind has one price under a cost model (see the module docstring)
         b = CostBreakdown()
         b.loads, b.stores, b.computes, b.deletes = counts
         b.load_cost = costs.load_cost * b.loads

@@ -1,46 +1,28 @@
-"""Immutable pebbling states and the model-aware transition function.
+"""Immutable pebbling states: the public value type of a board.
 
 A :class:`PebblingState` records which nodes currently hold a red pebble,
 which hold a blue pebble, and which have ever been computed.  The third
 component is what makes the oneshot rule ("Step 3 at most once per node")
 checkable, and is also convenient for heuristics in the other models.
 
-States are immutable and hashable so they can serve directly as search
-nodes in the exact solvers.  The transition function lives here (rather
-than on the simulator) so that solvers can expand states without building
-a simulator object per expansion.
-
-This module is the *reference* implementation and the public conversion
-boundary.  Hot paths — the solvers' search kernel, schedule execution,
-the heuristic pebblers — run on the bitmask encoding of
-:mod:`repro.core.bitstate` instead and convert at the edges via
-:meth:`PebblingState.to_bits` / :meth:`PebblingState.from_bits`.  The
-canonical identity of a state is its ``(red, blue, computed)`` triple:
-two states are equal iff the triples are equal, which coincides exactly
-with equality of their bit encodings under any fixed
+The rules themselves run on the bitmask encoding of
+:mod:`repro.core.bitstate`; callers convert at the edges via
+:meth:`BitLayout.encode_state <repro.core.bitstate.BitLayout.encode_state>`
+and :meth:`~repro.core.bitstate.BitLayout.decode_state`.  The canonical
+identity of a state is its ``(red, blue, computed)`` triple: two states
+are equal iff the triples are equal, which coincides exactly with
+equality of their bit encodings under any fixed
 :class:`~repro.core.bitstate.BitLayout`; ``__hash__`` is derived from the
 same triple.  The differential test-suite pins this agreement.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import TYPE_CHECKING, FrozenSet, Iterator, Tuple
+from typing import FrozenSet
 
 from .dag import ComputationDAG, Node
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .bitstate import BitLayout, BitState
-from .errors import (
-    CapacityExceededError,
-    DeletionForbiddenError,
-    IllegalMoveError,
-    RecomputationError,
-)
-from .models import CostModel
-from .moves import Compute, Delete, Load, Move, Store
-
-__all__ = ["PebblingState", "legal_moves", "apply_move"]
+__all__ = ["PebblingState"]
 
 _EMPTY: FrozenSet[Node] = frozenset()
 
@@ -48,8 +30,8 @@ _EMPTY: FrozenSet[Node] = frozenset()
 class PebblingState:
     """A snapshot of the board: (red, blue, computed) node sets.
 
-    Invariants (maintained by :func:`apply_move`, checked by
-    :meth:`check_invariants`):
+    Invariants (maintained by :func:`~repro.core.bitstate.apply_move_bits`,
+    checked by :meth:`check_invariants`):
 
     * ``red`` and ``blue`` are disjoint (a node holds at most one pebble);
     * every pebbled node has been computed (pebbles appear via Step 3 only);
@@ -102,19 +84,6 @@ class PebblingState:
             assert not foreign, f"state tracks nodes outside the DAG: {foreign[:5]!r}"
 
     # ------------------------------------------------------------------ #
-    # bitmask conversion boundary
-    # ------------------------------------------------------------------ #
-
-    def to_bits(self, layout: "BitLayout") -> "BitState":
-        """Encode under a :class:`~repro.core.bitstate.BitLayout`."""
-        return layout.encode_state(self)
-
-    @classmethod
-    def from_bits(cls, layout: "BitLayout", bits: "BitState") -> "PebblingState":
-        """Decode a :class:`~repro.core.bitstate.BitState` back to sets."""
-        return layout.decode_state(bits)
-
-    # ------------------------------------------------------------------ #
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PebblingState):
@@ -136,125 +105,3 @@ class PebblingState:
             f"PebblingState(red={fmt(self.red)}, blue={fmt(self.blue)}, "
             f"computed={fmt(self.computed)})"
         )
-
-
-def apply_move(
-    state: PebblingState,
-    move: Move,
-    dag: ComputationDAG,
-    costs: CostModel,
-    red_limit: int,
-    step: "int | None" = None,
-) -> Tuple[PebblingState, Fraction]:
-    """Apply one move to a state, returning ``(new_state, cost)``.
-
-    Raises a subclass of :class:`IllegalMoveError` when the move violates
-    the rules of the model described by ``costs``:
-
-    * Load needs a blue pebble on the node and a free red slot;
-    * Store needs a red pebble on the node;
-    * Compute needs every input red, a free red slot, the node not already
-      red, and (oneshot) the node never computed before;
-    * Delete needs a pebble on the node and is illegal in nodel.
-    """
-    v = move.node
-    if v not in dag:
-        raise IllegalMoveError(move, f"node {v!r} is not in the DAG", step)
-
-    if isinstance(move, Load):
-        if v not in state.blue:
-            raise IllegalMoveError(move, "node holds no blue pebble", step)
-        if len(state.red) + 1 > red_limit:
-            raise CapacityExceededError(move, red_limit, step)
-        return (
-            PebblingState(state.red | {v}, state.blue - {v}, state.computed),
-            costs.load_cost,
-        )
-
-    if isinstance(move, Store):
-        if v not in state.red:
-            raise IllegalMoveError(move, "node holds no red pebble", step)
-        return (
-            PebblingState(state.red - {v}, state.blue | {v}, state.computed),
-            costs.store_cost,
-        )
-
-    if isinstance(move, Compute):
-        if v in state.red:
-            raise IllegalMoveError(move, "node already holds a red pebble", step)
-        if not costs.recompute_allowed and v in state.computed:
-            raise RecomputationError(move, step)
-        missing = [u for u in dag.predecessors(v) if u not in state.red]
-        if missing:
-            raise IllegalMoveError(
-                move, f"input(s) without a red pebble: {missing[:5]!r}", step
-            )
-        if len(state.red) + 1 > red_limit:
-            raise CapacityExceededError(move, red_limit, step)
-        # Computing onto a node that currently holds a blue pebble replaces
-        # the blue pebble by a red one (explicitly allowed in nodel:
-        # "Step 3 still allows us to replace a blue pebble by a red one").
-        return (
-            PebblingState(state.red | {v}, state.blue - {v}, state.computed | {v}),
-            costs.compute_cost,
-        )
-
-    if isinstance(move, Delete):
-        if not costs.delete_allowed:
-            raise DeletionForbiddenError(move, step)
-        if v in state.red:
-            return (
-                PebblingState(state.red - {v}, state.blue, state.computed),
-                costs.delete_cost,
-            )
-        if v in state.blue:
-            return (
-                PebblingState(state.red, state.blue - {v}, state.computed),
-                costs.delete_cost,
-            )
-        raise IllegalMoveError(move, "node holds no pebble", step)
-
-    raise IllegalMoveError(move, f"unknown move type {type(move).__name__}", step)
-
-
-def legal_moves(
-    state: PebblingState,
-    dag: ComputationDAG,
-    costs: CostModel,
-    red_limit: int,
-    *,
-    prune_delete_blue: bool = True,
-) -> Iterator[Move]:
-    """Enumerate every move legal in ``state``.
-
-    ``prune_delete_blue`` skips deleting blue pebbles: a blue pebble never
-    occupies a red slot and never blocks any move, so removing it cannot
-    reduce the cost of any continuation — any schedule using Delete(blue)
-    maps move-for-move to one that omits it at equal cost.  Exact solvers
-    rely on this cost-preserving prune; set it to ``False`` to enumerate
-    the literal rule set.
-    """
-    has_red_slot = len(state.red) < red_limit
-
-    if has_red_slot:
-        for v in state.blue:
-            yield Load(v)
-
-    for v in state.red:
-        yield Store(v)
-
-    if has_red_slot:
-        for v in dag:
-            if v in state.red:
-                continue
-            if not costs.recompute_allowed and v in state.computed:
-                continue
-            if all(u in state.red for u in dag.predecessors(v)):
-                yield Compute(v)
-
-    if costs.delete_allowed:
-        for v in state.red:
-            yield Delete(v)
-        if not prune_delete_blue:
-            for v in state.blue:
-                yield Delete(v)

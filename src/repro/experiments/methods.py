@@ -29,9 +29,6 @@ name                     behaviour
 ``exact``                optimal cost via the bitmask search kernel: A*
                          under the cost model's admissible bound, named
                          as ``heuristic`` in ``extra`` beside ``engine``
-``exact:legacy``         optimal cost via the frozenset reference solver
-                         (uniform-cost; cross-checking / debugging the
-                         kernel)
 ``exact:numpy``          optimal cost via the batched numpy frontier
                          engine (:mod:`repro.solvers.batch_kernel`), under
                          the same bound
@@ -649,7 +646,6 @@ _FIXED: Dict[str, MethodFn] = {
     "baseline": _run_baseline,
     "greedy": _run_greedy(None),
     "exact": _run_exact("bits"),
-    "exact:legacy": _run_exact("legacy"),
     "exact:numpy": _run_exact("numpy"),
     "idastar": _run_idastar,
     "tradeoff-opt": _run_tradeoff_opt,

@@ -3,9 +3,7 @@
 The exact solvers (``solve_optimal``, ``solve_optimal_idastar``) and the
 ``exhaustive_cost_bounds`` helper all run on the shared bitmask search
 kernel in :mod:`repro.solvers.kernel`, as A* under the cost model's
-admissible bound by default (``heuristic=None`` for uniform-cost search);
-``solve_optimal_legacy`` keeps the original frozenset uniform-cost search
-as the reference oracle.
+admissible bound by default (``heuristic=None`` for uniform-cost search).
 ``solve_multilevel_optimal`` extends the same packed-state machinery to
 the multi-level game of :mod:`repro.multilevel`.
 
@@ -30,7 +28,6 @@ from .exact import (
     OptimalResult,
     decide_pebbling,
     solve_optimal,
-    solve_optimal_legacy,
 )
 from .idastar import solve_optimal_idastar
 from .multilevel import (
@@ -65,7 +62,6 @@ def __getattr__(name: str) -> object:
 __all__ = [
     "solve_optimal",
     "astar_batch",
-    "solve_optimal_legacy",
     "solve_optimal_idastar",
     "solve_multilevel_optimal",
     "multilevel_cost_bounds",

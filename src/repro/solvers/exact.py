@@ -16,7 +16,7 @@ epsilon per needed, uncomputed node when computation is priced
 (compcost).  Base and nodel get no bound; ``heuristic=None`` runs
 uniform-cost search.  :attr:`OptimalResult.heuristic` names the terms.
 
-Three engines implement the same contract:
+Two engines implement the same contract:
 
 * ``engine="bits"`` (default): the shared bitmask kernel of
   :mod:`repro.solvers.kernel` — one packed int per state, integer costs,
@@ -26,11 +26,10 @@ Three engines implement the same contract:
 * ``engine="numpy"``: the batched frontier engine of
   :mod:`repro.solvers.batch_kernel` over the same edge alphabet, for
   DAGs of up to 64 nodes.
-* ``engine="legacy"``: the original frozenset-based uniform-cost search
-  over :class:`~repro.core.state.PebblingState`, kept verbatim as the slow
-  reference implementation; it runs no bound.  The golden-optima suite
-  (``tests/solvers/test_golden_optima.py``) pins that the engines return
-  identical optima on classic instances.
+
+The golden-optima suite (``tests/solvers/test_golden_optima.py``) pins
+that both engines, and a frozenset reference search kept in the tests,
+return identical optima on classic instances.
 
 Safe prunes applied (all cost-preserving, see the test-suite):
 
@@ -47,24 +46,17 @@ their first settled cost.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
-from ..core.dag import ComputationDAG
-from ..core.errors import BudgetExceededError, SolverError
 from ..core.instance import PebblingInstance
-from ..core.moves import Move
 from ..core.schedule import Schedule
-from ..core.state import PebblingState, apply_move, legal_moves
 from . import kernel
 
 __all__ = [
     "OptimalResult",
     "solve_optimal",
-    "solve_optimal_legacy",
     "decide_pebbling",
 ]
 
@@ -124,13 +116,11 @@ def solve_optimal(
     heuristic:
         ``"auto"`` (default) runs A* under the cost model's admissible
         bound (see the module docstring); ``None`` runs uniform-cost
-        search.  Any other value raises :class:`ValueError`.  The
-        ``legacy`` engine always runs uniform-cost search.
+        search.  Any other value raises :class:`ValueError`.
     engine:
-        ``"bits"`` for the shared bitmask kernel (default), ``"legacy"``
-        for the frozenset reference implementation, or ``"numpy"`` for
-        the batched frontier engine of :mod:`repro.solvers.batch_kernel`
-        (DAGs up to 64 nodes).
+        ``"bits"`` for the shared bitmask kernel (default) or ``"numpy"``
+        for the batched frontier engine of
+        :mod:`repro.solvers.batch_kernel` (DAGs up to 64 nodes).
 
     Notes
     -----
@@ -139,10 +129,6 @@ def solve_optimal(
     move costs are non-negative and the bound is consistent).
     """
     terms = kernel.bound_terms(instance.costs, heuristic)
-    if engine == "legacy":
-        return solve_optimal_legacy(
-            instance, budget=budget, return_schedule=return_schedule
-        )
     if engine == "numpy":
         from .batch_kernel import astar_batch
 
@@ -162,8 +148,7 @@ def solve_optimal(
     else:
         raise ValueError(
             f"unknown engine {engine!r}; valid engines: 'bits' (default "
-            f"bitmask kernel), 'legacy' (frozenset reference), 'numpy' "
-            f"(batched frontier)"
+            f"bitmask kernel), 'numpy' (batched frontier)"
         )
     return optimal_result(result, terms)
 
@@ -179,83 +164,6 @@ def optimal_result(
         result.generated,
         "+".join(terms) or "none",
     )
-
-
-def solve_optimal_legacy(
-    instance: PebblingInstance,
-    *,
-    budget: int = 2_000_000,
-    return_schedule: bool = True,
-) -> OptimalResult:
-    """The original frozenset-based search, kept as the reference oracle.
-
-    Uniform-cost search under the contract of :func:`solve_optimal`.
-    Differential and golden tests compare the engines against it; use
-    this path when debugging the kernel — states print as readable node
-    sets.
-    """
-    dag: ComputationDAG = instance.dag
-    costs = instance.costs
-    red_limit = instance.red_limit
-    start = PebblingState.initial()
-
-    if start.is_complete(dag):  # DAG with no sinks (empty DAG)
-        return OptimalResult(Fraction(0), Schedule(), 0, 0)
-
-    counter = itertools.count()
-    frontier: List[Tuple[Fraction, int, PebblingState]] = [
-        (Fraction(0), next(counter), start)
-    ]
-    best_g: Dict[PebblingState, Fraction] = {start: Fraction(0)}
-    parents: Dict[PebblingState, Tuple[PebblingState, Move]] = {}
-    closed = set()
-    expanded = 0
-    generated = 0
-
-    while frontier:
-        _, _, state = heapq.heappop(frontier)
-        if state in closed:
-            continue
-        closed.add(state)
-        g = best_g[state]
-
-        if state.is_complete(dag):
-            schedule = _reconstruct(parents, state) if return_schedule else None
-            return OptimalResult(g, schedule, expanded, generated)
-
-        expanded += 1
-        if expanded > budget:
-            raise BudgetExceededError(budget)
-
-        for move in legal_moves(state, dag, costs, red_limit):
-            nxt, cost = apply_move(state, move, dag, costs, red_limit)
-            if nxt in closed:
-                continue
-            ng = g + cost
-            if nxt not in best_g or ng < best_g[nxt]:
-                best_g[nxt] = ng
-                if return_schedule:
-                    parents[nxt] = (state, move)
-                heapq.heappush(frontier, (ng, next(counter), nxt))
-                generated += 1
-
-    raise SolverError(
-        "search space exhausted without reaching a complete state "
-        "(this should be impossible for a feasible instance)"
-    )
-
-
-def _reconstruct(
-    parents: Dict[PebblingState, Tuple[PebblingState, Move]],
-    goal: PebblingState,
-) -> Schedule:
-    moves: List[Move] = []
-    state = goal
-    while state in parents:
-        state, move = parents[state]
-        moves.append(move)
-    moves.reverse()
-    return Schedule(moves)
 
 
 def decide_pebbling(

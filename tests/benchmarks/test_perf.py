@@ -39,7 +39,9 @@ import pytest
 from repro import PebblingInstance, PebblingSimulator
 from repro.generators import grid_stencil_dag, pyramid_dag
 from repro.heuristics import fixed_order_schedule
-from repro.solvers import solve_optimal, solve_optimal_idastar, solve_optimal_legacy
+from repro.solvers import solve_optimal, solve_optimal_idastar
+
+from ..legacy_reference import solve_optimal_legacy
 
 
 # --------------------------------------------------------------------- #

@@ -1,18 +1,20 @@
-"""Differential tests: the bitmask engine must agree with the legacy one.
+"""Differential tests: the bitmask rules must agree with the reference.
 
 Hypothesis generates random DAGs, models, red limits and move sequences,
-and every property asserts that :mod:`repro.core.bitstate` and the legacy
-:mod:`repro.core.state` implementations agree bit-for-bit on
+and every property asserts that :func:`repro.core.bitstate.apply_move_bits`
+and the frozenset reference transcription in ``tests/legacy_reference.py``
+agree on
 
-* move legality (same legal-move sets, same rejection error types),
-* resulting states (decode(bit step) == legacy step, and re-encoding
-  round-trips),
-* costs,
+* every candidate move at every visited state — each of the four kinds on
+  each node, plus one node outside the DAG: same accept/reject, same error
+  type, same cost, same resulting state (encode(reference step) == bit
+  step; along the walks, decode(bit state) == reference state too);
 * hash/equality semantics (state equality iff bit-encoding equality,
   equal states hash equally).
 
-The walks draw moves from the *unpruned* legal-move enumeration so Delete
-on blue pebbles and every model-specific corner is exercised too.
+The walks draw moves from the reference's *unpruned* legal-move
+enumeration so Delete on blue pebbles and every model-specific corner is
+exercised too.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -21,20 +23,19 @@ from repro import (
     ComputationDAG,
     IllegalMoveError,
     PebblingState,
-    apply_move,
     apply_move_bits,
     bit_layout,
     cost_model_for,
-    legal_moves,
-    legal_moves_bits,
 )
 from repro.core.bitstate import BitState
 from repro.core.moves import MOVE_KINDS
 
+from ..legacy_reference import apply_move, legal_moves
+
 MODELS = ("base", "oneshot", "nodel", "compcost")
 
-#: every property must clear at least this many examples (ISSUE 2 demands
-#: >= 200); keep deadline off — the first example pays bit-layout caching.
+#: every property must clear at least this many examples; keep deadline
+#: off — the first example pays bit-layout caching.
 DIFF_SETTINGS = dict(
     max_examples=200,
     deadline=None,
@@ -59,10 +60,38 @@ def scenarios(draw):
     return dag, costs, red_limit
 
 
-def walk(data, dag, costs, red_limit, steps):
-    """Random-walk both engines in lockstep, asserting agreement throughout.
+def assert_candidates_agree(layout, state, dag, costs, red_limit):
+    """Apply every candidate move to ``state`` in both rule sets and
+    assert the same outcome; return the set of accepted moves.
 
-    Returns the list of (legacy_state, bit_state) pairs visited.
+    The candidates are the four kinds on every node plus one node outside
+    the DAG (``-1``; the scenarios' nodes are ``0..n-1``).
+    """
+    bits = layout.encode_state(state)
+    accepted = set()
+    for kind in MOVE_KINDS:
+        for node in (*dag, -1):
+            move = kind(node)
+            try:
+                new_state, cost = apply_move(state, move, dag, costs, red_limit)
+                ref = (layout.encode_state(new_state), cost)
+                accepted.add(move)
+            except IllegalMoveError as err:  # includes all subclasses
+                ref = type(err)
+            try:
+                got = apply_move_bits(layout, bits, move, costs, red_limit)
+            except IllegalMoveError as err:
+                got = type(err)
+            assert got == ref, f"{move} diverges: bits {got!r}, reference {ref!r}"
+    return accepted
+
+
+def walk(data, dag, costs, red_limit, steps, check_moves=True):
+    """Random-walk both rule sets in lockstep, asserting agreement on the
+    move taken and, with ``check_moves``, on every candidate move at every
+    state.
+
+    Returns the list of (reference_state, bit_state) pairs visited.
     """
     layout = bit_layout(dag)
     state = PebblingState.initial()
@@ -72,10 +101,9 @@ def walk(data, dag, costs, red_limit, steps):
         legal = sorted(
             legal_moves(state, dag, costs, red_limit, prune_delete_blue=False)
         )
-        legal_b = sorted(
-            legal_moves_bits(layout, bits, costs, red_limit, prune_delete_blue=False)
-        )
-        assert legal == legal_b, "legal-move sets diverge"
+        if check_moves:
+            accepted = assert_candidates_agree(layout, state, dag, costs, red_limit)
+            assert accepted == set(legal), "legal-move enumeration diverges"
         if not legal:
             break
         move = legal[data.draw(st.integers(0, len(legal) - 1), label="move")]
@@ -95,8 +123,6 @@ class TestWalkAgreement:
         for state, bits in walk(data, dag, costs, red_limit, steps=25):
             assert layout.decode_state(bits) == state
             assert layout.encode_state(state) == bits
-            assert state.to_bits(layout) == bits
-            assert PebblingState.from_bits(layout, bits) == state
 
     @settings(**DIFF_SETTINGS)
     @given(scenario=scenarios(), data=st.data())
@@ -116,42 +142,33 @@ class TestIllegalMoveAgreement:
     @settings(**DIFF_SETTINGS)
     @given(scenario=scenarios(), data=st.data())
     def test_arbitrary_moves_accepted_or_rejected_identically(self, scenario, data):
+        """Every candidate move on a state no walk need reach: any
+        computed set, disjoint red and blue pebbles on computed nodes,
+        and possibly more reds than the limit."""
         dag, costs, red_limit = scenario
-        layout = bit_layout(dag)
-        state, bits = walk(data, dag, costs, red_limit, steps=12)[-1]
-        for _ in range(8):
-            kind = MOVE_KINDS[data.draw(st.integers(0, 3), label="kind")]
-            node = data.draw(
-                st.integers(-1, dag.n_nodes - 1), label="node"
-            )  # -1 = not in the DAG
-            move = kind(node)
-            legacy_outcome = bit_outcome = None
-            try:
-                legacy_outcome = apply_move(state, move, dag, costs, red_limit)
-            except IllegalMoveError as err:  # includes all subclasses
-                legacy_err = type(err)
-            try:
-                bit_outcome = apply_move_bits(layout, bits, move, costs, red_limit)
-            except IllegalMoveError as err:
-                bit_err = type(err)
-            assert (legacy_outcome is None) == (bit_outcome is None)
-            if legacy_outcome is None:
-                assert legacy_err is bit_err, "error types diverge"
-            else:
-                new_state, cost = legacy_outcome
-                new_bits, cost_b = bit_outcome
-                assert cost == cost_b
-                assert layout.decode_state(new_bits) == new_state
+        nodes = sorted(dag)
+        computed = data.draw(st.frozensets(st.sampled_from(nodes)), label="computed")
+        colour = {
+            v: data.draw(st.sampled_from(("red", "blue", None)), label=f"pebble {v}")
+            for v in sorted(computed)
+        }
+        state = PebblingState(
+            frozenset(v for v, c in colour.items() if c == "red"),
+            frozenset(v for v, c in colour.items() if c == "blue"),
+            computed,
+        )
+        assert_candidates_agree(bit_layout(dag), state, dag, costs, red_limit)
 
 
 class TestHashEqualitySemantics:
+    """The walks here skip the per-move check ``TestWalkAgreement`` makes."""
+
     @settings(**DIFF_SETTINGS)
     @given(scenario=scenarios(), data=st.data())
     def test_state_equality_iff_bit_equality(self, scenario, data):
         dag, costs, red_limit = scenario
-        layout = bit_layout(dag)
-        walk_a = walk(data, dag, costs, red_limit, steps=12)
-        walk_b = walk(data, dag, costs, red_limit, steps=12)
+        walk_a = walk(data, dag, costs, red_limit, steps=12, check_moves=False)
+        walk_b = walk(data, dag, costs, red_limit, steps=12, check_moves=False)
         for state_a, bits_a in walk_a:
             for state_b, bits_b in walk_b:
                 assert (state_a == state_b) == (bits_a == bits_b)
@@ -165,5 +182,5 @@ class TestHashEqualitySemantics:
         """Search correctness rests on dict/set dedup: both encodings must
         collapse a walk to the same number of distinct states."""
         dag, costs, red_limit = scenario
-        pairs = walk(data, dag, costs, red_limit, steps=25)
+        pairs = walk(data, dag, costs, red_limit, steps=25, check_moves=False)
         assert len({s for s, _ in pairs}) == len({b for _, b in pairs})

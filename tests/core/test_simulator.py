@@ -16,7 +16,6 @@ from repro import (
     Model,
     PebblingInstance,
     PebblingSimulator,
-    PebblingState,
     Schedule,
     Store,
     apply_move_bits,
@@ -197,8 +196,8 @@ def per_kind_sums(inst, schedule):
 
 
 class TestPricingPerKind:
-    """``run`` and ``_run_legacy`` count moves per kind and price each kind
-    once; every breakdown field must equal the per-move sum."""
+    """``run`` counts moves per kind and prices each kind once; every
+    breakdown field must equal the per-move sum."""
 
     @pytest.mark.parametrize(
         "model,epsilon",
@@ -226,17 +225,16 @@ class TestPricingPerKind:
                 ):
                     expected = per_kind_sums(inst, schedule)
                     seen.update(k for k, n in zip("LSCD", expected[:4]) if n)
-                    fast = sim.run(schedule, require_complete=True)
-                    legacy = sim._run_legacy(
-                        schedule, PebblingState.initial(), require_complete=True
-                    )
-                    for res in (fast, legacy):
-                        b = res.breakdown
-                        assert (
-                            b.loads, b.stores, b.computes, b.deletes,
-                            b.load_cost, b.store_cost, b.compute_cost, b.delete_cost,
-                        ) == expected
-                        assert res.cost == b.total_cost
-                        assert res.steps == len(schedule)
+                    res = sim.run(schedule, require_complete=True)
+                    b = res.breakdown
+                    assert (
+                        b.loads, b.stores, b.computes, b.deletes,
+                        b.load_cost, b.store_cost, b.compute_cost, b.delete_cost,
+                    ) == expected
+                    assert res.cost == b.total_cost
+                    assert res.steps == len(schedule)
+                    # the stepping path ends on the same board and total
+                    _, final, total = sim.trace(schedule)[-1]
+                    assert (final, total) == (res.final_state, res.cost)
         # every kind the model allows is exercised
         assert seen == (set("LSC") if model == "nodel" else set("LSCD"))

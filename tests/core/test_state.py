@@ -1,4 +1,9 @@
-"""Tests for PebblingState transitions: every rule of every model variant."""
+"""Tests for board transitions: every rule of every model variant.
+
+The transitions run through the public :meth:`PebblingSimulator.step`;
+``TestLegalMoves`` pins the move enumeration of the frozenset reference
+that the differential walks draw from.
+"""
 
 from fractions import Fraction
 
@@ -12,13 +17,15 @@ from repro import (
     DeletionForbiddenError,
     IllegalMoveError,
     Load,
+    PebblingInstance,
+    PebblingSimulator,
     PebblingState,
     RecomputationError,
     Store,
-    apply_move,
     cost_model_for,
-    legal_moves,
 )
+
+from ..legacy_reference import legal_moves
 
 
 @pytest.fixture
@@ -33,6 +40,12 @@ NODEL = cost_model_for("nodel")
 COMPCOST = cost_model_for("compcost")
 
 
+def step(s, move, dag, model, red_limit):
+    """``PebblingSimulator.step`` on a fresh instance of ``dag``."""
+    inst = PebblingInstance(dag=dag, model=model, red_limit=red_limit)
+    return PebblingSimulator(inst).step(s, move)
+
+
 def state(red=(), blue=(), computed=None):
     red, blue = frozenset(red), frozenset(blue)
     if computed is None:
@@ -42,119 +55,120 @@ def state(red=(), blue=(), computed=None):
 
 class TestCompute:
     def test_source_computable_on_empty_board(self, dag):
-        s2, cost = apply_move(state(), Compute("a"), dag, BASE, 3)
+        s2, cost = step(state(), Compute("a"), dag, "base", 3)
         assert "a" in s2.red and "a" in s2.computed
         assert cost == 0
 
     def test_inner_node_requires_all_inputs_red(self, dag):
         with pytest.raises(IllegalMoveError, match="without a red pebble"):
-            apply_move(state(red={"a"}), Compute("c"), dag, BASE, 3)
+            step(state(red={"a"}), Compute("c"), dag, "base", 3)
 
     def test_inner_node_with_inputs_red(self, dag):
         s = state(red={"a", "b"})
-        s2, cost = apply_move(s, Compute("c"), dag, BASE, 3)
+        s2, cost = step(s, Compute("c"), dag, "base", 3)
         assert s2.red == {"a", "b", "c"}
         assert cost == 0
 
     def test_blue_input_does_not_count(self, dag):
         s = state(red={"a"}, blue={"b"})
         with pytest.raises(IllegalMoveError):
-            apply_move(s, Compute("c"), dag, BASE, 3)
+            step(s, Compute("c"), dag, "base", 3)
 
     def test_capacity_enforced(self, dag):
-        s = state(red={"a", "b"})
+        # R=3 is the least this DAG admits; "d" takes the third slot
+        s = state(red={"a", "b", "d"})
         with pytest.raises(CapacityExceededError):
-            apply_move(s, Compute("c"), dag, BASE, 2)
+            step(s, Compute("c"), dag, "base", 3)
 
     def test_compute_on_red_node_illegal(self, dag):
         s = state(red={"a"})
         with pytest.raises(IllegalMoveError, match="already holds a red"):
-            apply_move(s, Compute("a"), dag, BASE, 3)
+            step(s, Compute("a"), dag, "base", 3)
 
     def test_compute_replaces_blue_pebble(self, dag):
         # Recomputing a blue node turns it red (explicit nodel semantics).
         s = state(red=set(), blue={"a"})
-        s2, _ = apply_move(s, Compute("a"), dag, NODEL, 3)
+        s2, _ = step(s, Compute("a"), dag, "nodel", 3)
         assert "a" in s2.red and "a" not in s2.blue
 
     def test_oneshot_forbids_recompute(self, dag):
         s = state(red=set(), blue=set(), computed={"a"})
         with pytest.raises(RecomputationError):
-            apply_move(s, Compute("a"), dag, ONESHOT, 3)
+            step(s, Compute("a"), dag, "oneshot", 3)
 
     def test_base_allows_recompute(self, dag):
         s = state(red=set(), blue=set(), computed={"a"})
-        s2, cost = apply_move(s, Compute("a"), dag, BASE, 3)
+        s2, cost = step(s, Compute("a"), dag, "base", 3)
         assert "a" in s2.red
         assert cost == 0
 
     def test_compcost_charges_epsilon(self, dag):
-        _, cost = apply_move(state(), Compute("a"), dag, COMPCOST, 3)
+        _, cost = step(state(), Compute("a"), dag, "compcost", 3)
         assert cost == Fraction(1, 100)
 
     def test_unknown_node_rejected(self, dag):
         with pytest.raises(IllegalMoveError, match="not in the DAG"):
-            apply_move(state(), Compute("zz"), dag, BASE, 3)
+            step(state(), Compute("zz"), dag, "base", 3)
 
 
 class TestLoadStore:
     def test_load_blue_to_red(self, dag):
         s = state(blue={"a"})
-        s2, cost = apply_move(s, Load("a"), dag, BASE, 3)
+        s2, cost = step(s, Load("a"), dag, "base", 3)
         assert s2.red == {"a"} and s2.blue == frozenset()
         assert cost == 1
 
     def test_load_requires_blue(self, dag):
         with pytest.raises(IllegalMoveError, match="no blue pebble"):
-            apply_move(state(red={"a"}), Load("a"), dag, BASE, 3)
+            step(state(red={"a"}), Load("a"), dag, "base", 3)
 
     def test_load_respects_capacity(self, dag):
-        s = state(red={"a", "b"}, blue={"c"}, computed={"a", "b", "c"})
+        s = state(red={"a", "b", "d"}, blue={"c"}, computed={"a", "b", "c", "d"})
         with pytest.raises(CapacityExceededError):
-            apply_move(s, Load("c"), dag, BASE, 2)
+            step(s, Load("c"), dag, "base", 3)
 
     def test_store_red_to_blue(self, dag):
         s = state(red={"a"})
-        s2, cost = apply_move(s, Store("a"), dag, BASE, 3)
+        s2, cost = step(s, Store("a"), dag, "base", 3)
         assert s2.blue == {"a"} and s2.red == frozenset()
         assert cost == 1
 
     def test_store_requires_red(self, dag):
         with pytest.raises(IllegalMoveError, match="no red pebble"):
-            apply_move(state(blue={"a"}), Store("a"), dag, BASE, 3)
+            step(state(blue={"a"}), Store("a"), dag, "base", 3)
 
     def test_store_frees_red_slot(self, dag):
-        s = state(red={"a", "b"})
-        s2, _ = apply_move(s, Store("a"), dag, BASE, 2)
-        s3, _ = apply_move(s2, Compute("a"), dag, BASE, 2)  # recompute into free slot
-        assert s3.red == {"a", "b"}
+        s = state(red={"a", "b", "d"})
+        s2, _ = step(s, Store("a"), dag, "base", 3)
+        s3, _ = step(s2, Compute("a"), dag, "base", 3)  # recompute into free slot
+        assert s3.red == {"a", "b", "d"}
 
 
 class TestDelete:
     def test_delete_red(self, dag):
         s = state(red={"a"})
-        s2, cost = apply_move(s, Delete("a"), dag, BASE, 3)
+        s2, cost = step(s, Delete("a"), dag, "base", 3)
         assert not s2.has_pebble("a")
         assert "a" in s2.computed  # history is preserved
         assert cost == 0
 
     def test_delete_blue(self, dag):
         s = state(blue={"a"})
-        s2, _ = apply_move(s, Delete("a"), dag, BASE, 3)
+        s2, _ = step(s, Delete("a"), dag, "base", 3)
         assert not s2.has_pebble("a")
 
     def test_delete_requires_pebble(self, dag):
         with pytest.raises(IllegalMoveError, match="no pebble"):
-            apply_move(state(), Delete("a"), dag, BASE, 3)
+            step(state(), Delete("a"), dag, "base", 3)
 
     def test_nodel_forbids_delete(self, dag):
         s = state(red={"a"})
         with pytest.raises(DeletionForbiddenError):
-            apply_move(s, Delete("a"), dag, NODEL, 3)
+            step(s, Delete("a"), dag, "nodel", 3)
 
     def test_oneshot_allows_delete(self, dag):
         s = state(red={"a"})
-        s2, cost = apply_move(s, Delete("a"), dag, ONESHOT, 3)
+        s2, cost = step(s, Delete("a"), dag, "oneshot", 3)
         assert cost == 0 and not s2.has_pebble("a")
 
 
@@ -229,4 +243,4 @@ class TestLegalMoves:
         s = state(red={"a"}, blue={"b"}, computed={"a", "b"})
         for costs in (BASE, ONESHOT, NODEL, COMPCOST):
             for m in legal_moves(s, dag, costs, 3, prune_delete_blue=False):
-                apply_move(s, m, dag, costs, 3)  # must not raise
+                step(s, m, dag, costs.model, 3)  # must not raise

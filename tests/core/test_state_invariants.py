@@ -46,7 +46,7 @@ class TestCheckInvariants:
 
     def test_bitstate_invariants_mirror(self, dag):
         layout = bit_layout(dag)
-        make(red={"a"}, computed={"a"}).to_bits(layout).check_invariants(layout)
+        layout.encode_state(make(red={"a"}, computed={"a"})).check_invariants(layout)
         with pytest.raises(AssertionError, match="both a red and a blue"):
             BitState(1, 1, 1).check_invariants(layout)
         with pytest.raises(AssertionError, match="never computed"):
@@ -79,10 +79,10 @@ class TestCanonicalHashEq:
         layout = bit_layout(dag)
         a = make(red={"a"}, blue={"b"}, computed={"a", "b"})
         b = make(red={"a"}, blue={"b"}, computed={"a", "b", "c"})
-        ea, eb = a.to_bits(layout), b.to_bits(layout)
+        ea, eb = layout.encode_state(a), layout.encode_state(b)
         assert ea != eb  # differ only in computed history
-        assert PebblingState.from_bits(layout, ea) == a
-        assert PebblingState.from_bits(layout, eb) == b
+        assert layout.decode_state(ea) == a
+        assert layout.decode_state(eb) == b
 
 
 class TestLayoutCache:

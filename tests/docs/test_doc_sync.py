@@ -170,8 +170,8 @@ def test_service_statuses_match_phrases_and_the_api_error_table():
 #: name -> (check, [(file, pattern, replacement), ...]): one drift each
 DRIFTS = {
     "engine-branch-nowhere-else": (check_engines, [
-        ("src/repro/solvers/exact.py", r'engine == "legacy":',
-         'engine == "legacy" or engine == "turbo":'),
+        ("src/repro/solvers/exact.py", r'engine == "numpy":',
+         'engine == "numpy" or engine == "turbo":'),
     ]),
     "engine-row-deleted": (check_engines, [
         ("docs/architecture.md", r'^\| `"numpy"`.*\n', ""),
@@ -182,7 +182,7 @@ DRIFTS = {
     ]),
     "engine-left-out-of-differential": (check_engines, [
         ("tests/solvers/test_engine_differential.py",
-         r'^ENGINES = \("legacy", "numpy"\)', 'ENGINES = ("legacy",)'),
+         r'^ENGINES = \("numpy",\)', 'ENGINES = ()'),
     ]),
     "engine-left-out-of-golden": (check_engines, [
         ("tests/solvers/test_golden_optima.py", r'\(inst, engine="numpy"', "(inst"),

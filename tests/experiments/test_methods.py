@@ -33,6 +33,7 @@ class TestResolution:
         "ml:bogus", "ml:exact:pyramid:3",
         "ml:exact:hier:3,6:1",  # malformed hierarchy must fail at resolve time
         "heur:bogus", "heur:portfolio:0", "heur:portfolio:x",
+        "exact:legacy",
     ])
     def test_unknown_names_raise(self, name):
         with pytest.raises(ValueError):
@@ -57,7 +58,6 @@ class TestOutcomes:
             ("exact", "nodel", "none"),
             ("exact:numpy", "compcost", "computes"),
             ("idastar", "oneshot", "loads"),
-            ("exact:legacy", "oneshot", "none"),
         ],
     )
     def test_exact_methods_name_their_bound(self, method, model, name):

@@ -1,10 +1,12 @@
 """Differential harness: every search engine against ``engine="bits"``.
 
-The bitmask kernel is the calibrated reference (itself pinned to the
-legacy frozenset solver and the golden optima).  Each engine listed in
-``ENGINES`` is locked to it, at the same ``heuristic`` setting (the
-default ``"auto"`` bound and uniform-cost ``None``; the legacy engine
-runs no bound, so it meets the reference at ``None`` only), on
+The bitmask kernel is the calibrated reference.  It is itself locked to
+the frozenset reference search of ``tests/legacy_reference.py`` at
+uniform-cost ``heuristic=None`` (the reference runs no bound), on the
+same instances as below (``TestBitsAgainstReference``), and to the
+golden optima.  Each engine listed in ``ENGINES`` is locked to ``bits``,
+at the same ``heuristic`` setting (the default ``"auto"`` bound and
+uniform-cost ``None``), on
 
 * the exact optimum cost (compared as exact ``Fraction`` values),
 * schedule validity (the returned schedule must replay through the
@@ -33,22 +35,18 @@ from repro.gadgets import h2c_dag
 from repro.generators import dag_from_spec
 from repro.solvers import solve_optimal
 
+from ..legacy_reference import solve_optimal_legacy
+
 MODELS = ("base", "oneshot", "nodel", "compcost")
 
 #: engines under differential test; the reference "bits" engine is
 #: implicit.  Add one id here to give a new engine full coverage.
-ENGINES = ("legacy", "numpy")
+ENGINES = ("numpy",)
 
-#: (engine, heuristic) pairs: every engine at every setting it runs
-SETTINGS = [
-    (engine, heuristic)
-    for engine in ENGINES
-    for heuristic in (("auto", None) if engine != "legacy" else (None,))
-]
+#: (engine, heuristic) pairs: every engine at both settings
+SETTINGS = [(engine, heuristic) for engine in ENGINES for heuristic in ("auto", None)]
 #: an engine at its default setting keeps the engine's name as its id
-SETTING_IDS = [
-    e if h == "auto" or e == "legacy" else f"{e}-uniform-cost" for e, h in SETTINGS
-]
+SETTING_IDS = [e if h == "auto" else f"{e}-uniform-cost" for e, h in SETTINGS]
 
 #: the batch engine amortizes over large frontiers and the
 #: reference runs twice per example, so the example budget is modest;
@@ -86,6 +84,7 @@ GADGETS = [
     ("grid:2x12", "oneshot", 3),
     ("chain:40", "nodel", 2),
 ]
+GADGET_IDS = [f"{s}-{m}-r{r}" for s, m, r in GADGETS]
 
 
 def _gadget_instance(spec: str, model: str, red_limit: int) -> PebblingInstance:
@@ -113,17 +112,11 @@ def instances(draw):
     return PebblingInstance(dag=dag, model=model, red_limit=red_limit)
 
 
-def assert_engine_matches(engine: str, heuristic, inst: PebblingInstance,
-                          budget: int = 300_000) -> None:
-    """The whole differential contract for one (engine, instance) pair."""
-    reference = solve_optimal(
-        inst, budget=budget, engine="bits", heuristic=heuristic
-    )
-    result = solve_optimal(inst, budget=budget, engine=engine, heuristic=heuristic)
-
+def assert_agrees(name: str, result, reference, inst: PebblingInstance) -> None:
+    """The whole differential contract for one result against its reference."""
     # 1. exact optimum agreement
     assert result.cost == reference.cost, (
-        f"{engine} disagrees with bits: {result.cost} != {reference.cost}"
+        f"{name} disagrees with its reference: {result.cost} != {reference.cost}"
     )
 
     # 2. independently auditable schedule at exactly the optimal cost
@@ -140,6 +133,26 @@ def assert_engine_matches(engine: str, heuristic, inst: PebblingInstance,
         assert result.expanded >= 1
 
 
+def assert_engine_matches(engine: str, heuristic, inst: PebblingInstance,
+                          budget: int = 300_000) -> None:
+    """One engine against ``bits`` at the same ``heuristic`` setting."""
+    reference = solve_optimal(
+        inst, budget=budget, engine="bits", heuristic=heuristic
+    )
+    result = solve_optimal(inst, budget=budget, engine=engine, heuristic=heuristic)
+    assert_agrees(engine, result, reference, inst)
+
+
+def assert_bits_matches_reference(inst: PebblingInstance,
+                                  budget: int = 300_000) -> None:
+    """``bits`` at ``heuristic=None`` against the frozenset reference search;
+    both schedules are audited."""
+    bits = solve_optimal(inst, budget=budget, heuristic=None)
+    reference = solve_optimal_legacy(inst, budget=budget)
+    assert_agrees("bits", bits, reference, inst)
+    assert_agrees("the frozenset reference", reference, bits, inst)
+
+
 @pytest.mark.parametrize("engine,heuristic", SETTINGS, ids=SETTING_IDS)
 class TestEngineDifferential:
     @settings(**DIFF_SETTINGS)
@@ -147,10 +160,7 @@ class TestEngineDifferential:
     def test_random_instances(self, engine, heuristic, inst):
         assert_engine_matches(engine, heuristic, inst)
 
-    @pytest.mark.parametrize(
-        "spec,model,red_limit", GADGETS,
-        ids=[f"{s}-{m}-r{r}" for s, m, r in GADGETS],
-    )
+    @pytest.mark.parametrize("spec,model,red_limit", GADGETS, ids=GADGET_IDS)
     def test_gadget_zoo(self, engine, heuristic, spec, model, red_limit):
         assert_engine_matches(
             engine, heuristic, _gadget_instance(spec, model, red_limit)
@@ -163,6 +173,20 @@ class TestEngineDifferential:
             solve_optimal(inst, budget=10, engine=engine, heuristic=heuristic)
 
 
+class TestBitsAgainstReference:
+    """The reference engine itself, outside the delete-normalized move
+    alphabet every engine shares."""
+
+    @settings(**DIFF_SETTINGS)
+    @given(inst=instances())
+    def test_random_instances(self, inst):
+        assert_bits_matches_reference(inst)
+
+    @pytest.mark.parametrize("spec,model,red_limit", GADGETS, ids=GADGET_IDS)
+    def test_gadget_zoo(self, spec, model, red_limit):
+        assert_bits_matches_reference(_gadget_instance(spec, model, red_limit))
+
+
 def test_engines_list_is_nonempty_and_excludes_reference():
     """Guard the harness itself: bits must stay the implicit reference."""
     assert ENGINES
@@ -171,8 +195,8 @@ def test_engines_list_is_nonempty_and_excludes_reference():
 
 def test_unknown_engine_raises_with_catalogue():
     inst = _gadget_instance("pyramid:3", "base", 3)
-    for engine in ("typo", "par"):
-        with pytest.raises(ValueError, match=rf"unknown engine '{engine}'.*bits.*legacy.*numpy"):
+    for engine in ("typo", "par", "legacy"):
+        with pytest.raises(ValueError, match=rf"unknown engine '{engine}'.*bits.*numpy"):
             solve_optimal(inst, engine=engine)
 
 
@@ -180,5 +204,5 @@ def test_zero_cost_optimum_agrees_across_engines():
     """Zero-cost schedules (free computes) exercise the Dial zero-bucket
     refill."""
     inst = _gadget_instance("chain:8", "base", 2)
-    costs = {e: solve_optimal(inst, engine=e).cost for e in ENGINES}
+    costs = {e: solve_optimal(inst, engine=e).cost for e in ("bits", *ENGINES)}
     assert set(costs.values()) == {Fraction(0)}

@@ -8,11 +8,14 @@ from repro import (
     BudgetExceededError,
     ComputationDAG,
     PebblingInstance,
+    PebblingState,
     validate_schedule,
 )
 from repro.generators import chain_dag, independent_tasks_dag, pyramid_dag
 from repro.solvers import decide_pebbling, solve_optimal, solve_optimal_idastar
 from repro.solvers.kernel import Expander, compile_bound
+
+from ..legacy_reference import apply_move, legal_moves
 
 
 def opt(dag, model, R, **kw):
@@ -166,8 +169,6 @@ class TestSolverContracts:
         import heapq
         import itertools
 
-        from repro.core.state import PebblingState, apply_move, legal_moves
-
         dag = ComputationDAG([("a", "c"), ("b", "c")])
         inst = PebblingInstance(dag=dag, model="base", red_limit=3)
         # unpruned uniform-cost search
@@ -246,9 +247,6 @@ class TestAStar:
             result = solve_optimal(inst, engine=engine, return_schedule=False)
             assert result.heuristic == name, engine
         assert solve_optimal_idastar(inst, return_schedule=False).heuristic == name
-        # the legacy reference always runs uniform-cost search
-        legacy = solve_optimal(inst, engine="legacy", return_schedule=False)
-        assert legacy.heuristic == "none"
 
     def test_heuristic_zero_at_goal_states(self):
         dag = chain_dag(3)
@@ -264,7 +262,7 @@ class TestAStar:
     def test_unknown_heuristic_raises(self, heuristic):
         inst = PebblingInstance(dag=chain_dag(3), model="compcost", red_limit=2)
         message = r"unknown heuristic.*'auto'.*None"
-        for engine in ("bits", "numpy", "legacy"):
+        for engine in ("bits", "numpy"):
             with pytest.raises(ValueError, match=message):
                 solve_optimal(inst, heuristic=heuristic, engine=engine)
         with pytest.raises(ValueError, match=message):

@@ -1,12 +1,12 @@
 """Golden regression tests: pinned exact optima for classic instances.
 
-The numbers below were produced by the legacy frozenset solver (the
-pre-bitmask reference implementation) and hand-checked against the
-paper's formulas where one exists (pyramids, the Figure 3/4 tradeoff
-gadget, H2C).  Every entry is asserted against
+The numbers below were produced by the frozenset reference search (the
+pre-bitmask implementation, now ``tests/legacy_reference.py``) and
+hand-checked against the paper's formulas where one exists (pyramids,
+the Figure 3/4 tradeoff gadget, H2C).  Every entry is asserted against
 
 * the bitmask kernel (``solve_optimal``, the default engine),
-* the legacy reference (``solve_optimal_legacy``),
+* the frozenset reference (``solve_optimal_legacy``),
 * iterative-deepening A* (``solve_optimal_idastar``), and
 * the batched numpy frontier engine (``engine="numpy"``),
 
@@ -42,16 +42,14 @@ from repro.generators import (
     pyramid_dag,
 )
 from repro.heuristics import GreedyRule, greedy_pebble, topological_schedule
-from repro.solvers import (
-    solve_optimal,
-    solve_optimal_idastar,
-    solve_optimal_legacy,
-)
+from repro.solvers import solve_optimal, solve_optimal_idastar
 from repro.solvers.bounds import (
     exhaustive_cost_bounds,
     trivial_lower_bound,
     upper_bound_naive,
 )
+
+from ..legacy_reference import solve_optimal_legacy
 
 
 def _h2c(r):

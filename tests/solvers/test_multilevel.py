@@ -26,10 +26,10 @@ from repro.solvers import (
     multilevel_cost_bounds,
     solve_multilevel_optimal,
     solve_optimal,
-    solve_optimal_legacy,
 )
 from repro.solvers.kernel import astar_bits
 
+from ..legacy_reference import solve_optimal_legacy
 from .test_golden_optima import _FACTORIES, GOLDEN
 
 #: every distinct (dag, R) combination of the golden table

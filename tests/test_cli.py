@@ -65,14 +65,20 @@ class TestSolve:
         )
         assert "optimal  : 3" in out
 
+    @pytest.mark.parametrize("engine", ["par", "legacy"])
+    def test_unknown_engine_rejected_by_the_parser(self, capsys, engine):
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--dag", "pyramid:3", "--engine", engine])
+        assert info.value.code == 2
+        assert f"invalid choice: '{engine}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["--dag", "pyramid:3", "--engine", "par"], "unknown engine 'par'"),
             (["--dag", "chain:70", "--red", "2", "--engine", "numpy"],
              "at most 64 nodes"),
         ],
-        ids=["unknown-engine", "numpy-too-wide"],
+        ids=["numpy-too-wide"],
     )
     def test_bad_engine_exits_with_one_line(self, argv, message):
         with pytest.raises(SystemExit) as info:

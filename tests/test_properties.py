@@ -16,8 +16,6 @@ from repro import (
     PebblingInstance,
     PebblingSimulator,
     PebblingState,
-    apply_move,
-    legal_moves,
     validate_schedule,
 )
 from repro.generators import UndirectedGraph
@@ -29,6 +27,8 @@ from repro.solvers import (
     trivial_lower_bound,
     upper_bound_naive,
 )
+
+from .legacy_reference import apply_move, legal_moves
 
 COMMON = settings(
     deadline=None,

@@ -109,10 +109,6 @@ class CostModel:
         """Price of one store+load round trip (the canonical 'spill' cost)."""
         return self.load_cost + self.store_cost
 
-    @property
-    def is_free_compute(self) -> bool:
-        return self.compute_cost == 0
-
     def table1_row(self) -> Dict[str, str]:
         """Render this model as a row of the paper's Table 1."""
         if not self.recompute_allowed:

@@ -32,9 +32,6 @@ name                     behaviour
 ``exact:numpy``          optimal cost via the batched numpy frontier
                          engine (:mod:`repro.solvers.batch_kernel`), under
                          the same bound
-``idastar``              optimal cost by iterative-deepening A* (the
-                         structurally independent second exact solver),
-                         under the same bound
 ``tradeoff-opt``         the provably optimal Figure 3/4 alternating
                          strategy (requires a ``tradeoff:DxN`` DAG spec)
 ``ml:exact``             optimal cost of the *multi-level* game
@@ -95,6 +92,7 @@ name                     behaviour (required DAG spec in parentheses)
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -156,16 +154,25 @@ _EVICTION = {
 
 
 def _run_fixed_order(policy: str) -> MethodFn:
+    seed = None
+    if policy.startswith("random"):
+        try:
+            seed = int(policy[len("random"):] or 0)
+        except ValueError:
+            raise ValueError(
+                f"unknown eviction policy {policy!r}: random[SEED] needs "
+                f"an integer seed"
+            ) from None
+    elif policy not in _EVICTION:
+        raise ValueError(f"unknown eviction policy {policy!r}")
+
     def run(inst: PebblingInstance, task: TaskSpec) -> MethodOutcome:
         from .. import heuristics
 
-        if policy.startswith("random"):
-            seed = int(policy[len("random"):] or 0)
+        if seed is not None:
             eviction = heuristics.RandomEviction(seed=seed)
-        elif policy in _EVICTION:
-            eviction = getattr(heuristics, _EVICTION[policy])()
         else:
-            raise ValueError(f"unknown eviction policy {policy!r}")
+            eviction = getattr(heuristics, _EVICTION[policy])()
         sched = heuristics.fixed_order_schedule(inst, eviction=eviction)
         res = PebblingSimulator(inst).run(sched, require_complete=True)
         return MethodOutcome(cost=res.cost, n_moves=len(sched), extra={"eviction": policy})
@@ -224,17 +231,6 @@ def _run_exact(engine: str) -> MethodFn:
         )
 
     return run
-
-
-def _run_idastar(inst: PebblingInstance, task: TaskSpec) -> MethodOutcome:
-    from ..solvers.idastar import solve_optimal_idastar
-
-    result = solve_optimal_idastar(inst, return_schedule=True)
-    return MethodOutcome(
-        cost=result.cost,
-        n_moves=result.length,
-        extra={"expanded": str(result.expanded), "heuristic": result.heuristic},
-    )
 
 
 def _run_tradeoff_opt(inst: PebblingInstance, task: TaskSpec) -> MethodOutcome:
@@ -647,7 +643,6 @@ _FIXED: Dict[str, MethodFn] = {
     "greedy": _run_greedy(None),
     "exact": _run_exact("bits"),
     "exact:numpy": _run_exact("numpy"),
-    "idastar": _run_idastar,
     "tradeoff-opt": _run_tradeoff_opt,
     "local-search": _run_local_search(2000),
     "heur:portfolio": _run_heuristic_portfolio(None),
@@ -700,11 +695,23 @@ def resolve_method(name: str) -> MethodFn:
         if head == "fixed-order":
             return _run_fixed_order(arg)
         if head == "beam":
-            return _run_beam(int(arg))
+            width = int(arg)
+            if width < 1:
+                raise ValueError(
+                    f"malformed method {name!r}: beam:WIDTH needs a "
+                    f"positive integer width"
+                )
+            return _run_beam(width)
         if head == "local-search":
             return _run_local_search(int(arg))
         if head == "sleep":
-            return _run_sleep(float(arg))
+            seconds = float(arg)
+            if not 0 <= seconds < math.inf:
+                raise ValueError(
+                    f"malformed method {name!r}: sleep:SECONDS needs a "
+                    f"finite, non-negative number of seconds"
+                )
+            return _run_sleep(seconds)
     raise ValueError(
         f"unknown method {name!r}; known: {', '.join(method_names())}"
     )

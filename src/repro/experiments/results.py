@@ -10,7 +10,7 @@ strings so JSON/CSV round-trips lose nothing — and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, Mapping, Optional
 
@@ -92,9 +92,6 @@ class RunResult:
     def key(self) -> "tuple[str, str, str, Optional[int]]":
         """Grid coordinates (dag, model, method, R) — join key for compares."""
         return (self.dag, self.model, self.method, self.red_limit)
-
-    def with_spec(self, spec: str) -> "RunResult":
-        return replace(self, spec=spec)
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -57,9 +57,6 @@ class H2CInfo:
     def n_added_nodes(self) -> int:
         return 1 + len(self.b_group) + sum(len(st) for st in self.starters.values())
 
-    def starters_of(self, guarded: Node) -> Tuple[Node, ...]:
-        return self.starters[guarded]
-
 
 def _gadget_edges(
     s: Node,

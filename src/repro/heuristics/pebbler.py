@@ -150,10 +150,6 @@ class OnlinePebbler:
     def computed_mask(self) -> int:
         return self._computed
 
-    def remaining_uses_of(self, v: Node) -> int:
-        """Number of consumers of ``v`` not yet computed."""
-        return self._remaining[self._layout.index[v]]
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #

@@ -26,7 +26,6 @@ from .bitgame import (
     decode_ml_state,
     encode_ml_state,
     initial_ml_state,
-    legal_ml_moves_bits,
 )
 from .game import (
     HierarchySpec,
@@ -51,7 +50,6 @@ __all__ = [
     "two_level_equivalent",
     "multilevel_topological_schedule",
     "apply_ml_move_bits",
-    "legal_ml_moves_bits",
     "encode_ml_state",
     "decode_ml_state",
     "initial_ml_state",

@@ -1,41 +1,36 @@
-"""Bitmask encoding of multi-level pebbling states — the fast path.
+"""Bitmask encoding of multi-level pebbling states and their transition.
 
-The multi-level game (:mod:`repro.multilevel.game`) was the last
-subsystem still running entirely on frozensets: a
-:class:`~repro.multilevel.game.MultilevelState` is a tuple of per-level
-``frozenset``s and every :meth:`MultilevelSimulator.step` allocates L
-fresh sets.  This module is the multi-level twin of
-:mod:`repro.core.bitstate`: it reuses the same cached
-:class:`~repro.core.bitstate.BitLayout` (node <-> bit index, parent
-masks) and represents a board as a *tuple of ints, one mask per memory
-level*.  A value occupies at most one level, so the masks are pairwise
-disjoint; "all inputs of v sit in fastest memory" is one AND against
-``masks[0]``.
+This module is the multi-level twin of :mod:`repro.core.bitstate`: it
+reuses the same cached :class:`~repro.core.bitstate.BitLayout` (node <->
+bit index, parent masks) and represents a board as a *tuple of ints, one
+mask per memory level*.  A value occupies at most one level, so the
+masks are pairwise disjoint; "all inputs of v sit in fastest memory" is
+one AND against ``masks[0]``.
 
 Conversion boundary
 -------------------
-:class:`MultilevelState` stays the public API.  Code converts at the
-edge via :func:`encode_ml_state` / :func:`decode_ml_state`, runs its hot
-loop on mask tuples, and decodes at the end.  :func:`apply_ml_move_bits`
-mirrors :meth:`MultilevelSimulator.step` move-for-move — same legality
-rules, same error types and messages, same costs — and
-:func:`legal_ml_moves_bits` enumerates exactly the moves ``step`` would
-accept; the differential suite
-(``tests/multilevel/test_bitgame_differential.py``) pins the equivalence
-with hypothesis-generated DAGs, hierarchies and move walks.
+:class:`~repro.multilevel.game.MultilevelState` stays the public API.
+Code converts at the edge via :func:`encode_ml_state` /
+:func:`decode_ml_state`, runs its hot loop on mask tuples, and decodes at
+the end.
 
-When debugging, prefer the legacy stepper (``MultilevelSimulator.step``
-directly): states print as readable per-level node sets.  The mask path
-is what :meth:`MultilevelSimulator.run` and
-:func:`repro.solvers.multilevel.solve_multilevel_optimal` execute.
+:func:`apply_ml_move_bits` is the package's one transcription of the
+multi-level rules and prices: :meth:`MultilevelSimulator.run
+<repro.multilevel.game.MultilevelSimulator.run>` and ``step`` both run on
+it, and :func:`repro.solvers.multilevel.solve_multilevel_optimal`
+searches the same game through its own delete-normalized expander.  The
+differential suite (``tests/multilevel/test_bitgame_differential.py``)
+checks every accept, reject, error message, cost and resulting state
+against a frozenset transcription of the rules kept in the tests, on
+hypothesis-generated DAGs, hierarchies and move walks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Tuple
+from typing import Tuple
 
-from ..core.bitstate import BitLayout, iter_bits
+from ..core.bitstate import BitLayout
 from ..core.errors import IllegalMoveError
 from .game import HierarchySpec, MLCompute, MLDelete, MLMove, MultilevelState
 
@@ -45,8 +40,6 @@ __all__ = [
     "encode_ml_state",
     "decode_ml_state",
     "apply_ml_move_bits",
-    "legal_ml_moves_bits",
-    "ml_state_complete",
 ]
 
 #: a multi-level board: one bitmask per memory level, fastest first.
@@ -69,14 +62,6 @@ def decode_ml_state(layout: BitLayout, masks: MLBitState) -> MultilevelState:
     return MultilevelState([layout.decode_set(m) for m in masks])
 
 
-def ml_state_complete(layout: BitLayout, masks: MLBitState) -> bool:
-    """Every sink holds a pebble at some level."""
-    pebbled = 0
-    for m in masks:
-        pebbled |= m
-    return layout.sink_mask & ~pebbled == 0
-
-
 def _level_of(masks: MLBitState, bit: int) -> "int | None":
     for i, m in enumerate(masks):
         if m & bit:
@@ -90,11 +75,14 @@ def apply_ml_move_bits(
     masks: MLBitState,
     move,
 ) -> Tuple[MLBitState, Fraction]:
-    """Bitmask twin of :meth:`MultilevelSimulator.step`.
+    """Apply one multi-level move to ``masks``; return ``(new_masks, cost)``.
 
-    Same legality rules, same error types and messages, same costs —
-    differential-tested against the frozenset referee.  Returns
-    ``(new_masks, cost)``.
+    Raises :class:`~repro.core.errors.IllegalMoveError` when the move
+    breaks the rules of :mod:`repro.multilevel.game`: a Compute needs
+    its node in the DAG and not in level 0, every input in level 0 and a
+    free level-0 slot; a Move needs a pebble on the node, an existing
+    target level adjacent to the pebble's and a free slot there; a
+    Delete needs a pebble on the node.
     """
     if isinstance(move, MLCompute):
         v = move.node
@@ -153,43 +141,3 @@ def apply_ml_move_bits(
         return tuple(new), Fraction(0)
 
     raise IllegalMoveError(move, f"unknown move {type(move).__name__}")
-
-
-def legal_ml_moves_bits(
-    layout: BitLayout,
-    spec: HierarchySpec,
-    masks: MLBitState,
-) -> Iterator:
-    """Enumerate exactly the moves :func:`apply_ml_move_bits` would accept.
-
-    Yields computes, then level moves, then deletes, each in ascending
-    bit order.  The exact solver does not call this — its expander
-    inlines a delete-normalized alphabet — but the differential tests and
-    any mask-native caller that needs real move objects do.
-    """
-    nodes = layout.nodes
-    level0 = masks[0]
-    cap0 = spec.capacities[0]
-    has_slot0 = cap0 is None or level0.bit_count() < cap0
-
-    if has_slot0:
-        parent_masks = layout.parent_masks
-        for i in iter_bits(layout.full_mask & ~level0):
-            if parent_masks[i] & ~level0 == 0:
-                yield MLCompute(nodes[i])
-
-    for j, mask in enumerate(masks):
-        if not mask:
-            continue
-        for to in (j - 1, j + 1):
-            if not 0 <= to < spec.levels:
-                continue
-            cap = spec.capacities[to]
-            if cap is not None and masks[to].bit_count() >= cap:
-                continue
-            for i in iter_bits(mask):
-                yield MLMove(nodes[i], to)
-
-    for j, mask in enumerate(masks):
-        for i in iter_bits(mask):
-            yield MLDelete(nodes[i])

@@ -24,11 +24,7 @@ from fractions import Fraction
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.dag import ComputationDAG, Node
-from ..core.errors import (
-    IllegalMoveError,
-    IncompletePebblingError,
-    InfeasibleInstanceError,
-)
+from ..core.errors import IncompletePebblingError, InfeasibleInstanceError
 from ..core.instance import PebblingInstance
 from ..core.models import Model
 
@@ -179,11 +175,6 @@ class MultilevelState:
             out |= s
         return out
 
-    def replace(self, level: int, new: FrozenSet[Node]) -> "MultilevelState":
-        parts = list(self.levels)
-        parts[level] = new
-        return MultilevelState(parts)
-
     def __eq__(self, other):
         return isinstance(other, MultilevelState) and self.levels == other.levels
 
@@ -218,14 +209,12 @@ class MultilevelInstance:
 class MultilevelSimulator:
     """Referee for the multi-level game (mirrors PebblingSimulator).
 
-    Schedule execution (:meth:`run`) operates natively on the per-level
-    bitmask encoding of :mod:`repro.multilevel.bitgame`: the board is a
-    tuple of ints for the whole run and only the final state is decoded
-    back to a :class:`MultilevelState`.  The stepping API (:meth:`step`)
-    keeps the frozenset transition — it takes and returns public
-    ``MultilevelState`` objects and preserves an independent
-    implementation of the rules at the API edge, which the differential
-    tests pin against the mask twin.
+    Both APIs run on :func:`~repro.multilevel.bitgame.apply_ml_move_bits`.
+    Schedule execution (:meth:`run`) keeps the board as a tuple of
+    per-level masks for the whole run and decodes only the final state
+    back to a :class:`MultilevelState`; the stepping API (:meth:`step`)
+    takes and returns public ``MultilevelState`` objects, encoding at the
+    edge and decoding the state that comes back.
     """
 
     def __init__(self, instance: MultilevelInstance):
@@ -239,57 +228,22 @@ class MultilevelSimulator:
     # ------------------------------------------------------------------ #
 
     def step(self, state: MultilevelState, move) -> Tuple[MultilevelState, Fraction]:
-        spec = self.spec
-        if isinstance(move, MLCompute):
-            v = move.node
-            if v not in self.dag:
-                raise IllegalMoveError(move, "node not in DAG")
-            if v in state.levels[0]:
-                raise IllegalMoveError(move, "node already in fastest memory")
-            missing = [
-                u for u in self.dag.predecessors(v) if u not in state.levels[0]
-            ]
-            if missing:
-                raise IllegalMoveError(
-                    move, f"inputs not in fastest memory: {missing[:3]!r}"
-                )
-            cap = spec.capacities[0]
-            if cap is not None and len(state.levels[0]) + 1 > cap:
-                raise IllegalMoveError(move, f"level 0 capacity {cap} exceeded")
-            new = state
-            old_level = state.level_of(v)
-            if old_level is not None:
-                new = new.replace(old_level, new.levels[old_level] - {v})
-            new = new.replace(0, new.levels[0] | {v})
-            return new, spec.compute_cost
+        """Apply one move, returning ``(new_state, move_cost)``.
 
-        if isinstance(move, MLMove):
-            v = move.node
-            cur = state.level_of(v)
-            if cur is None:
-                raise IllegalMoveError(move, "node holds no pebble")
-            to = move.to_level
-            if not (0 <= to < spec.levels):
-                raise IllegalMoveError(move, f"no such level {to}")
-            if abs(to - cur) != 1:
-                raise IllegalMoveError(
-                    move, f"levels {cur} -> {to} are not adjacent"
-                )
-            cap = spec.capacities[to]
-            if cap is not None and len(state.levels[to]) + 1 > cap:
-                raise IllegalMoveError(move, f"level {to} capacity {cap} exceeded")
-            new = state.replace(cur, state.levels[cur] - {v})
-            new = new.replace(to, new.levels[to] | {v})
-            return new, spec.transfer_costs[min(cur, to)]
+        ``state`` holds nodes of this instance's DAG only: it is encoded
+        under the DAG's :class:`~repro.core.bitstate.BitLayout`, and a
+        node outside the DAG fails that encoding with :class:`KeyError`.
+        Raises :class:`~repro.core.errors.IllegalMoveError` if the move
+        is illegal in ``state``.
+        """
+        from ..core.bitstate import bit_layout
+        from .bitgame import apply_ml_move_bits, decode_ml_state, encode_ml_state
 
-        if isinstance(move, MLDelete):
-            v = move.node
-            cur = state.level_of(v)
-            if cur is None:
-                raise IllegalMoveError(move, "node holds no pebble")
-            return state.replace(cur, state.levels[cur] - {v}), Fraction(0)
-
-        raise IllegalMoveError(move, f"unknown move {type(move).__name__}")
+        layout = bit_layout(self.dag)
+        masks, cost = apply_ml_move_bits(
+            layout, self.spec, encode_ml_state(layout, state), move
+        )
+        return decode_ml_state(layout, masks), cost
 
     # ------------------------------------------------------------------ #
 

@@ -76,13 +76,6 @@ class GreedyGridConstruction:
     # canonical orders
     # ------------------------------------------------------------------ #
 
-    def grid_positions(self) -> List[Tuple[int, int]]:
-        return [
-            (x, y)
-            for x in range(1, self.l + 1)
-            for y in range(1, self.l + 2 - x)
-        ]
-
     def optimal_sequence(self) -> List[GroupKey]:
         """The paper's diagonal sweep: S0, then for each x the bottom
         group (x, 1) followed by the diagonal up to (1, x)."""

@@ -1,8 +1,8 @@
 """Solvers: exact optimal pebbling, visit-order optimization, bounds.
 
-The exact solvers (``solve_optimal``, ``solve_optimal_idastar``) and the
-``exhaustive_cost_bounds`` helper all run on the shared bitmask search
-kernel in :mod:`repro.solvers.kernel`, as A* under the cost model's
+The exact solver ``solve_optimal`` and the ``exhaustive_cost_bounds``
+helper both run on the shared bitmask search kernel in
+:mod:`repro.solvers.kernel`, as A* under the cost model's
 admissible bound by default (``heuristic=None`` for uniform-cost search).
 ``solve_multilevel_optimal`` extends the same packed-state machinery to
 the multi-level game of :mod:`repro.multilevel`.
@@ -29,7 +29,6 @@ from .exact import (
     decide_pebbling,
     solve_optimal,
 )
-from .idastar import solve_optimal_idastar
 from .multilevel import (
     MultilevelOptimalResult,
     multilevel_cost_bounds,
@@ -62,7 +61,6 @@ def __getattr__(name: str) -> object:
 __all__ = [
     "solve_optimal",
     "astar_batch",
-    "solve_optimal_idastar",
     "solve_multilevel_optimal",
     "multilevel_cost_bounds",
     "MultilevelOptimalResult",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import FrozenSet, Tuple, Union
+from typing import FrozenSet, Tuple
 
 from ..core.dag import ComputationDAG, Node
 from ..core.instance import PebblingInstance
@@ -153,10 +153,6 @@ def exhaustive_cost_bounds(
         instance.dag, instance.model, epsilon=instance.epsilon
     )
     return lower, max(lower, upper)
-
-
-def _as_float(x: Union[int, float]) -> float:
-    return float(x)
 
 
 def matmul_io_lower_bound(n: int, red_limit: int) -> float:

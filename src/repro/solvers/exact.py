@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..core.instance import PebblingInstance
 from ..core.schedule import Schedule
@@ -150,16 +150,9 @@ def solve_optimal(
             f"unknown engine {engine!r}; valid engines: 'bits' (default "
             f"bitmask kernel), 'numpy' (batched frontier)"
         )
-    return optimal_result(result, terms)
-
-
-def optimal_result(
-    result: "kernel.KernelResult", terms: Tuple[str, ...]
-) -> OptimalResult:
-    """Wrap a kernel result that ran under the bound ``terms``."""
     return OptimalResult(
         result.cost,
-        kernel.moves_to_schedule(result.moves),
+        Schedule(result.moves) if result.moves is not None else None,
         result.expanded,
         result.generated,
         "+".join(terms) or "none",

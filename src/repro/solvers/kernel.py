@@ -1,10 +1,10 @@
 """The shared bitmask search kernel behind every exact solver.
 
-Before this module, :mod:`repro.solvers.exact`, :mod:`repro.solvers.idastar`
-and the bound helpers each rolled their own frozenset-based best-first
-search; every expansion allocated three frozensets and re-hashed them.
-The kernel replaces all of that with one implementation operating on the
-:mod:`repro.core.bitstate` encoding:
+Before this module, the exact solvers and the bound helpers each rolled
+their own frozenset-based best-first search; every expansion allocated
+three frozensets and re-hashed them.  The kernel replaces all of that
+with one implementation operating on the :mod:`repro.core.bitstate`
+encoding:
 
 * a state is one packed int ``red << 2n | blue << n | computed``, the
   key of the open/closed dictionaries and the value successors are
@@ -38,12 +38,9 @@ game's expander for four things:
 The start state is the empty board, key 0, in every game.  :class:`Expander`
 is the red-blue game and ``_MLExpander`` of :mod:`repro.solvers.multilevel`
 the multi-level one.  :func:`astar_bits` (the default engine of
-``solve_optimal``) is a thin front-end over the driver, and
-:func:`idastar_bits` (iterative deepening, the structurally different
-cross-check behind ``solve_optimal_idastar``) reads the same
-``successors``.
+``solve_optimal``) is a thin front-end over the driver.
 
-**One admissible bound per cost model.**  Both run as A* by default
+**One admissible bound per cost model.**  It runs as A* by default
 (``heuristic="auto"``) under :func:`compile_bound`, an ``h(key)`` on the
 packed key whose terms :func:`bound_terms` reads off the cost model;
 ``heuristic=None`` is uniform-cost search.
@@ -62,14 +59,12 @@ from ..core.errors import BudgetExceededError, SolverError
 from ..core.instance import PebblingInstance
 from ..core.models import CostModel
 from ..core.moves import MOVE_KINDS, Delete, Move
-from ..core.schedule import Schedule
 
 __all__ = [
     "KernelResult",
     "Expander",
     "best_first",
     "astar_bits",
-    "idastar_bits",
     "bound_terms",
     "compile_bound",
 ]
@@ -96,12 +91,12 @@ class KernelResult(NamedTuple):
 class Expander:
     """Precomputed per-instance search context — the engine-agnostic seam.
 
-    Every exact engine (the python A*/IDA* strategies here, the numpy
-    batch engine of :mod:`repro.solvers.batch_kernel`) builds one of
-    these and reads the same scaled integer costs, precomputed masks,
-    normalized successor alphabet and move decoding from it, so "what
-    the game is" is defined in exactly one place and the engines differ
-    only in *how* they traverse it.
+    Every exact engine (the python A* here, the numpy batch engine of
+    :mod:`repro.solvers.batch_kernel`) builds one of these and reads the
+    same scaled integer costs, precomputed masks, normalized successor
+    alphabet and move decoding from it, so "what the game is" is defined
+    in exactly one place and the engines differ only in *how* they
+    traverse it.
     """
 
     __slots__ = (
@@ -486,98 +481,3 @@ def astar_bits(
         return_schedule=return_schedule,
         on_exhausted=on_exhausted,
     )
-
-
-# ---------------------------------------------------------------------- #
-# iterative-deepening A*
-# ---------------------------------------------------------------------- #
-
-
-def idastar_bits(
-    instance: PebblingInstance,
-    *,
-    budget: int = 4_000_000,
-    return_schedule: bool = True,
-    heuristic: Optional[str] = "auto",
-    max_iterations: int = 10_000,
-) -> KernelResult:
-    """Optimal pebbling by iterative threshold deepening over bitmask states.
-
-    Structurally different from :func:`best_first` (bounded DFS sweeps with
-    a per-iteration ``best_g`` memo instead of a global priority queue), so
-    the two can cross-check each other; shares the expander, encoding,
-    cost scaling and ``heuristic`` bound, whose dead successors it drops
-    likewise.
-    """
-    terms = bound_terms(instance.costs, heuristic)
-    ex = Expander(instance)
-    successors = ex.successors
-    is_goal = ex.is_goal
-    h = compile_bound(ex, terms)
-    threshold = (h(0) or 0) if h else 0
-    expanded_total = 0
-    generated_total = 0
-
-    for _ in range(max_iterations):
-        best_g: Dict[int, int] = {0: 0}
-        parents: Dict[int, Tuple[int, int]] = {}
-        next_threshold: Optional[int] = None
-        # explicit stack: (key, g)
-        stack: List[Tuple[int, int]] = [(0, 0)]
-        goal: Optional[Tuple[int, int]] = None  # (key, g)
-
-        while stack:
-            key, g = stack.pop()
-            if g > best_g.get(key, g):
-                continue  # a cheaper path to this state was found later
-            if is_goal(key):
-                if goal is None or g < goal[1]:
-                    goal = (key, g)
-                continue
-            expanded_total += 1
-            if expanded_total > budget:
-                raise BudgetExceededError(budget)
-            for nkey, cost_i, code in successors(key):
-                ng = g + cost_i
-                if h is None:
-                    f = ng
-                else:
-                    hv = h(nkey)
-                    if hv is None:
-                        continue
-                    f = ng + hv
-                if f > threshold:
-                    if next_threshold is None or f < next_threshold:
-                        next_threshold = f
-                    continue
-                old = best_g.get(nkey)
-                if old is not None and old <= ng:
-                    continue
-                best_g[nkey] = ng
-                if return_schedule:
-                    parents[nkey] = (key, code)
-                generated_total += 1
-                stack.append((nkey, ng))
-
-        if goal is not None:
-            # all routes with f <= threshold were explored exhaustively and
-            # best_g keeps per-state minima, so the goal is optimal unless a
-            # pruned branch (f > threshold) could still undercut it.
-            if next_threshold is None or goal[1] <= next_threshold:
-                moves = None
-                if return_schedule:
-                    moves = ex.decode_moves(trace_codes(parents, goal[0]))
-                return KernelResult(
-                    ex.unscale(goal[1]), moves, expanded_total, generated_total
-                )
-            # otherwise keep deepening: a pruned branch could be cheaper
-        if next_threshold is None:
-            raise SolverError("search space exhausted without a solution")
-        threshold = next_threshold
-
-    raise SolverError(f"no solution within {max_iterations} deepening rounds")
-
-
-def moves_to_schedule(moves: Optional[List[Move]]) -> Optional[Schedule]:
-    """Wrap a kernel move list as a :class:`Schedule` (None passes through)."""
-    return Schedule(moves) if moves is not None else None

@@ -39,7 +39,7 @@ import pytest
 from repro import PebblingInstance, PebblingSimulator
 from repro.generators import grid_stencil_dag, pyramid_dag
 from repro.heuristics import fixed_order_schedule
-from repro.solvers import solve_optimal, solve_optimal_idastar
+from repro.solvers import solve_optimal
 
 from ..legacy_reference import solve_optimal_legacy
 
@@ -94,15 +94,6 @@ def test_exact_solver_legacy(benchmark, pyramid_instance):
     assert result.cost == 2
     benchmark.extra_info["expanded"] = result.expanded
     benchmark.extra_info["engine"] = "legacy"
-
-
-def test_idastar_bits(benchmark, pyramid_instance):
-    result = benchmark(
-        solve_optimal_idastar, pyramid_instance, return_schedule=False,
-        heuristic=None,
-    )
-    assert result.cost == 2
-    benchmark.extra_info["expanded"] = result.expanded
 
 
 # --------------------------------------------------------------------- #

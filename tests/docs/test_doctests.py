@@ -9,11 +9,20 @@ import doctest
 
 import pytest
 
+import repro
+import repro.core.models
+import repro.core.moves
 import repro.experiments.registry
 import repro.experiments.store
 import repro.generators.specs
 
+#: every module with a runnable ``>>>`` example; ``repro.service.client``
+#: is left out because its one example is marked ``+SKIP`` (it needs a
+#: running server)
 DOCTESTED_MODULES = [
+    repro,
+    repro.core.models,
+    repro.core.moves,
     repro.generators.specs,
     repro.experiments.registry,
     repro.experiments.store,

@@ -21,6 +21,8 @@ class TestResolution:
         "greedy:most-red-inputs", "greedy:red-ratio",
         "fixed-order:belady", "fixed-order:lru", "fixed-order:random7",
         "beam:4", "local-search:100", "sleep:0.01",
+        # the smallest arguments the resolve-time checks accept
+        "beam:1", "sleep:0", "fixed-order:random",
         "ml:exact", "ml:topo",
         "ml:exact:hier:3,6:1,4", "ml:topo:hier:4,16:1,8",
         "heur:portfolio", "heur:portfolio:4",
@@ -33,11 +35,13 @@ class TestResolution:
         "ml:bogus", "ml:exact:pyramid:3",
         "ml:exact:hier:3,6:1",  # malformed hierarchy must fail at resolve time
         "heur:bogus", "heur:portfolio:0", "heur:portfolio:x",
-        "exact:legacy",
+        "exact:legacy", "idastar",
+        # malformed arguments must fail at resolve time, not in a worker
+        "beam:0", "fixed-order:randomx", "sleep:-1", "sleep:inf", "sleep:nan",
     ])
     def test_unknown_names_raise(self, name):
         with pytest.raises(ValueError):
-            resolve_method(name)(*make())
+            resolve_method(name)
 
     def test_method_names_lists_families(self):
         names = method_names()
@@ -57,7 +61,6 @@ class TestOutcomes:
             ("exact", "oneshot", "loads"),
             ("exact", "nodel", "none"),
             ("exact:numpy", "compcost", "computes"),
-            ("idastar", "oneshot", "loads"),
         ],
     )
     def test_exact_methods_name_their_bound(self, method, model, name):

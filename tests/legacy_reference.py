@@ -1,9 +1,12 @@
-"""The frozenset rule set and uniform-cost search, kept as a test oracle.
+"""The frozenset rule sets and uniform-cost search, kept as a test oracle.
 
 This is the straightforward transcription of Section 1's four moves and
 Table 1's prices onto :class:`~repro.core.state.PebblingState` node
 sets, and a uniform-cost search over it that shares no code with the
-bitmask kernels.  The package does not use it; tests compare against it:
+bitmask kernels; and the same transcription of the multi-level rules
+onto the per-level node sets of
+:class:`~repro.multilevel.game.MultilevelState`.  The package does not
+use them; tests compare against them:
 
 * the golden optima (``tests/solvers/test_golden_optima.py``) and the
   multi-level equivalence check are re-certified by
@@ -14,6 +17,9 @@ bitmask kernels.  The package does not use it; tests compare against it:
 * ``tests/core/test_bitstate_differential.py`` checks
   :func:`repro.core.bitstate.apply_move_bits` against :func:`apply_move`
   move by move;
+* ``tests/multilevel/test_bitgame_differential.py`` checks
+  :func:`repro.multilevel.bitgame.apply_ml_move_bits` against
+  :func:`apply_ml_move` move by move;
 * ``tests/benchmarks/test_perf.py`` times the ``bits`` engine against
   :func:`solve_optimal_legacy`.
 """
@@ -23,9 +29,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from fractions import Fraction
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Tuple
 
-from repro.core.dag import ComputationDAG
+from repro.core.dag import ComputationDAG, Node
 from repro.core.errors import (
     BudgetExceededError,
     CapacityExceededError,
@@ -39,9 +45,16 @@ from repro.core.models import CostModel
 from repro.core.moves import Compute, Delete, Load, Move, Store
 from repro.core.schedule import Schedule
 from repro.core.state import PebblingState
+from repro.multilevel.game import (
+    HierarchySpec,
+    MLCompute,
+    MLDelete,
+    MLMove,
+    MultilevelState,
+)
 from repro.solvers.exact import OptimalResult
 
-__all__ = ["apply_move", "legal_moves", "solve_optimal_legacy"]
+__all__ = ["apply_ml_move", "apply_move", "legal_moves", "solve_optimal_legacy"]
 
 
 def apply_move(
@@ -240,3 +253,76 @@ def _reconstruct(
         moves.append(move)
     moves.reverse()
     return Schedule(moves)
+
+
+# ---------------------------------------------------------------------- #
+# the multi-level game
+# ---------------------------------------------------------------------- #
+
+
+def _replace(
+    state: MultilevelState, level: int, new: FrozenSet[Node]
+) -> MultilevelState:
+    parts = list(state.levels)
+    parts[level] = new
+    return MultilevelState(parts)
+
+
+def apply_ml_move(
+    state: MultilevelState, move, dag: ComputationDAG, spec: HierarchySpec
+) -> Tuple[MultilevelState, Fraction]:
+    """Apply one multi-level move to a state, returning ``(new_state, cost)``.
+
+    Raises :class:`IllegalMoveError` with the same messages as
+    :func:`repro.multilevel.bitgame.apply_ml_move_bits`.
+    """
+    if isinstance(move, MLCompute):
+        v = move.node
+        if v not in dag:
+            raise IllegalMoveError(move, "node not in DAG")
+        if v in state.levels[0]:
+            raise IllegalMoveError(move, "node already in fastest memory")
+        missing = [
+            u for u in dag.predecessors(v) if u not in state.levels[0]
+        ]
+        if missing:
+            raise IllegalMoveError(
+                move, f"inputs not in fastest memory: {missing[:3]!r}"
+            )
+        cap = spec.capacities[0]
+        if cap is not None and len(state.levels[0]) + 1 > cap:
+            raise IllegalMoveError(move, f"level 0 capacity {cap} exceeded")
+        new = state
+        old_level = state.level_of(v)
+        if old_level is not None:
+            new = _replace(new, old_level, new.levels[old_level] - {v})
+        new = _replace(new, 0, new.levels[0] | {v})
+        return new, spec.compute_cost
+
+    if isinstance(move, MLMove):
+        v = move.node
+        cur = state.level_of(v)
+        if cur is None:
+            raise IllegalMoveError(move, "node holds no pebble")
+        to = move.to_level
+        if not (0 <= to < spec.levels):
+            raise IllegalMoveError(move, f"no such level {to}")
+        if abs(to - cur) != 1:
+            raise IllegalMoveError(
+                move, f"levels {cur} -> {to} are not adjacent"
+            )
+        cap = spec.capacities[to]
+        if cap is not None and len(state.levels[to]) + 1 > cap:
+            raise IllegalMoveError(move, f"level {to} capacity {cap} exceeded")
+        new = _replace(state, cur, state.levels[cur] - {v})
+        new = _replace(new, to, new.levels[to] | {v})
+        return new, spec.transfer_costs[min(cur, to)]
+
+    if isinstance(move, MLDelete):
+        v = move.node
+        cur = state.level_of(v)
+        if cur is None:
+            raise IllegalMoveError(move, "node holds no pebble")
+        return _replace(state, cur, state.levels[cur] - {v}), Fraction(0)
+
+    raise IllegalMoveError(move, f"unknown move {type(move).__name__}")

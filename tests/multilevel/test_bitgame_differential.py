@@ -1,14 +1,18 @@
-"""Differential tests: the multi-level mask engine vs the frozenset referee.
+"""Differential tests: the multi-level mask rules must agree with the reference.
 
 Hypothesis generates random DAGs, random hierarchies (depth, capacities,
 transfer costs, compute cost) and random move walks, and every property
-asserts that :mod:`repro.multilevel.bitgame` and the legacy
-:meth:`MultilevelSimulator.step` agree on
+asserts that :func:`repro.multilevel.bitgame.apply_ml_move_bits` and the
+frozenset reference transcription in ``tests/legacy_reference.py``
+(``apply_ml_move``) agree on
 
-* move legality (same legal-move sets, same rejection messages),
-* resulting states (decode(mask step) == legacy step, round-trips),
-* costs (exact Fractions),
-* the ``run`` fast path (same totals/peaks as stepping one-by-one).
+* every candidate move at every visited state — Compute, Delete and a
+  Move to each level -1..L on each node, plus one node outside the DAG:
+  same accept/reject, same error message, same cost, same resulting
+  state (encode(reference step) == mask step; along the walks,
+  decode(masks) == reference state too);
+* the ``run`` fast path (same totals/peaks as stepping the reference
+  one move at a time).
 """
 
 from fractions import Fraction
@@ -24,12 +28,14 @@ from repro.multilevel import (
     MLMove,
     MultilevelInstance,
     MultilevelSimulator,
+    MultilevelState,
     apply_ml_move_bits,
     decode_ml_state,
     encode_ml_state,
     initial_ml_state,
-    legal_ml_moves_bits,
 )
+
+from ..legacy_reference import apply_ml_move
 
 DIFF_SETTINGS = dict(
     max_examples=120,
@@ -78,41 +84,48 @@ def candidate_moves(instance):
     return out
 
 
-def reference_legal(sim, state):
-    """Brute-force legality via the frozenset referee."""
-    legal = []
-    for move in candidate_moves(sim.instance):
+def assert_candidates_agree(instance, layout, state):
+    """Apply every candidate move to ``state`` under both rule sets and
+    assert the same outcome; return the accepted moves, in candidate
+    order."""
+    dag, spec = instance.dag, instance.spec
+    masks = encode_ml_state(layout, state)
+    accepted = []
+    for move in candidate_moves(instance):
         try:
-            sim.step(state, move)
-        except IllegalMoveError:
-            continue
-        legal.append(move)
-    return legal
+            new_state, cost = apply_ml_move(state, move, dag, spec)
+            ref = (encode_ml_state(layout, new_state), cost)
+            accepted.append(move)
+        except IllegalMoveError as err:
+            ref = (type(err), str(err))
+        try:
+            got = apply_ml_move_bits(layout, spec, masks, move)
+        except IllegalMoveError as err:
+            got = (type(err), str(err))
+        assert got == ref, f"{move!r} diverges: masks {got!r}, reference {ref!r}"
+    return accepted
 
 
 def walk(data, instance, steps):
-    """Random-walk both engines in lockstep, asserting agreement throughout.
+    """Random-walk both rule sets in lockstep, checking every candidate
+    move at every visited state.
 
-    Returns the list of (legacy_state, masks) pairs visited.
+    Returns the list of (reference_state, masks) pairs visited.
     """
-    sim = MultilevelSimulator(instance)
     layout = bit_layout(instance.dag)
-    spec = instance.spec
-    state = sim.initial_state()
+    dag, spec = instance.dag, instance.spec
+    state = MultilevelState.initial(spec.levels)
     masks = initial_ml_state(spec.levels)
     visited = [(state, masks)]
-    for _ in range(steps):
-        legal = sorted(reference_legal(sim, state), key=repr)
-        legal_b = sorted(legal_ml_moves_bits(layout, spec, masks), key=repr)
-        assert legal == legal_b, "legal-move sets diverge"
-        if not legal:
-            break
+    while True:
+        legal = assert_candidates_agree(instance, layout, state)
+        if len(visited) > steps or not legal:
+            return visited
         move = legal[data.draw(st.integers(0, len(legal) - 1), label="move")]
-        state, cost = sim.step(state, move)
+        state, cost = apply_ml_move(state, move, dag, spec)
         masks, cost_b = apply_ml_move_bits(layout, spec, masks, move)
         assert cost == cost_b, f"cost diverges on {move}"
         visited.append((state, masks))
-    return visited
 
 
 class TestWalkAgreement:
@@ -134,31 +147,17 @@ class TestIllegalMoveAgreement:
     @settings(**DIFF_SETTINGS)
     @given(instance=scenarios(), data=st.data())
     def test_arbitrary_moves_accepted_or_rejected_identically(self, instance, data):
-        sim = MultilevelSimulator(instance)
-        layout = bit_layout(instance.dag)
-        spec = instance.spec
-        state, masks = walk(data, instance, steps=8)[-1]
-        moves = candidate_moves(instance)
-        for _ in range(10):
-            move = moves[data.draw(st.integers(0, len(moves) - 1), label="try")]
-            legacy_outcome = bit_outcome = None
-            legacy_msg = bit_msg = None
-            try:
-                legacy_outcome = sim.step(state, move)
-            except IllegalMoveError as err:
-                legacy_msg = str(err)
-            try:
-                bit_outcome = apply_ml_move_bits(layout, spec, masks, move)
-            except IllegalMoveError as err:
-                bit_msg = str(err)
-            assert (legacy_outcome is None) == (bit_outcome is None)
-            if legacy_outcome is None:
-                assert legacy_msg == bit_msg, "error messages diverge"
-            else:
-                new_state, cost = legacy_outcome
-                new_masks, cost_b = bit_outcome
-                assert cost == cost_b
-                assert decode_ml_state(layout, new_masks) == new_state
+        """Every candidate move on a state no walk need reach: each node
+        on any level or on none, and possibly more pebbles on a level
+        than its capacity."""
+        levels = [set() for _ in range(instance.spec.levels)]
+        choices = (None, *range(instance.spec.levels))
+        for v in instance.dag.nodes:
+            level = data.draw(st.sampled_from(choices), label=f"level of {v}")
+            if level is not None:
+                levels[level].add(v)
+        state = MultilevelState(levels)
+        assert_candidates_agree(instance, bit_layout(instance.dag), state)
 
 
 class TestRunFastPath:
@@ -166,17 +165,19 @@ class TestRunFastPath:
     @given(instance=scenarios(), data=st.data())
     def test_run_matches_stepping(self, instance, data):
         sim = MultilevelSimulator(instance)
+        layout = bit_layout(instance.dag)
+        dag, spec = instance.dag, instance.spec
         schedule = []
-        state = sim.initial_state()
+        state = MultilevelState.initial(spec.levels)
         total = Fraction(0)
-        peak = [0] * instance.spec.levels
+        peak = [0] * spec.levels
         for _ in range(12):
-            legal = sorted(reference_legal(sim, state), key=repr)
+            legal = assert_candidates_agree(instance, layout, state)
             if not legal:
                 break
             move = legal[data.draw(st.integers(0, len(legal) - 1), label="move")]
             schedule.append(move)
-            state, cost = sim.step(state, move)
+            state, cost = apply_ml_move(state, move, dag, spec)
             total += cost
             for i, s in enumerate(state.levels):
                 peak[i] = max(peak[i], len(s))

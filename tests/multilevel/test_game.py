@@ -13,6 +13,7 @@ from repro.multilevel import (
     MLMove,
     MultilevelInstance,
     MultilevelSimulator,
+    MultilevelState,
     multilevel_topological_schedule,
     two_level_equivalent,
 )
@@ -125,6 +126,20 @@ class TestRules:
         sim = MultilevelSimulator(make(dag))
         with pytest.raises(IllegalMoveError):
             sim.step(sim.initial_state(), MLDelete("x"))
+
+    def test_compute_outside_dag_rejected(self):
+        dag = ComputationDAG(nodes=["x"])
+        sim = MultilevelSimulator(make(dag))
+        with pytest.raises(IllegalMoveError, match="node not in DAG"):
+            sim.step(sim.initial_state(), MLCompute("y"))
+
+    def test_state_naming_node_outside_dag_raises_key_error(self):
+        # step encodes the state under the DAG's bit layout
+        dag = ComputationDAG(nodes=["x"])
+        sim = MultilevelSimulator(make(dag))
+        state = MultilevelState([{"y"}, set(), set()])
+        with pytest.raises(KeyError):
+            sim.step(state, MLCompute("x"))
 
     def test_recompute_is_allowed(self):
         dag = ComputationDAG(nodes=["x"])

@@ -160,6 +160,19 @@ class TestErrorPaths:
 
         run(scenario())
 
+    def test_malformed_method_argument_is_400(self):
+        # regression: these used to resolve, so the error only surfaced
+        # when a worker ran the cell, as a 502 execution-error
+        async def scenario():
+            async with ServiceHarness() as h:
+                for method in ("fixed-order:nope", "beam:0", "idastar"):
+                    with pytest.raises(ServiceError) as info:
+                        await h.call("query", {"dag": "chain:3", "method": method})
+                    assert info.value.status == 400, method
+                    assert info.value.payload["error"]["code"] == "bad-request"
+
+        run(scenario())
+
     def test_unbuildable_dag_is_400(self):
         async def scenario():
             async with ServiceHarness() as h:

@@ -12,7 +12,7 @@ from repro import (
     validate_schedule,
 )
 from repro.generators import chain_dag, independent_tasks_dag, pyramid_dag
-from repro.solvers import decide_pebbling, solve_optimal, solve_optimal_idastar
+from repro.solvers import decide_pebbling, solve_optimal
 from repro.solvers.kernel import Expander, compile_bound
 
 from ..legacy_reference import apply_move, legal_moves
@@ -246,7 +246,6 @@ class TestAStar:
         for engine in ("bits", "numpy"):
             result = solve_optimal(inst, engine=engine, return_schedule=False)
             assert result.heuristic == name, engine
-        assert solve_optimal_idastar(inst, return_schedule=False).heuristic == name
 
     def test_heuristic_zero_at_goal_states(self):
         dag = chain_dag(3)
@@ -265,5 +264,3 @@ class TestAStar:
         for engine in ("bits", "numpy"):
             with pytest.raises(ValueError, match=message):
                 solve_optimal(inst, heuristic=heuristic, engine=engine)
-        with pytest.raises(ValueError, match=message):
-            solve_optimal_idastar(inst, heuristic=heuristic)

@@ -6,9 +6,11 @@ hand-checked against the paper's formulas where one exists (pyramids,
 the Figure 3/4 tradeoff gadget, H2C).  Every entry is asserted against
 
 * the bitmask kernel (``solve_optimal``, the default engine),
-* the frozenset reference (``solve_optimal_legacy``),
-* iterative-deepening A* (``solve_optimal_idastar``), and
+* the frozenset reference (``solve_optimal_legacy``), and
 * the batched numpy frontier engine (``engine="numpy"``),
+
+and both solver engines run once under the default bound and once as
+uniform-cost search (``heuristic=None``),
 
 so any kernel bug — cost scaling, successor generation, the search
 loop, the admissible bound — shows up as a *value diff* against a
@@ -42,7 +44,7 @@ from repro.generators import (
     pyramid_dag,
 )
 from repro.heuristics import GreedyRule, greedy_pebble, topological_schedule
-from repro.solvers import solve_optimal, solve_optimal_idastar
+from repro.solvers import solve_optimal
 from repro.solvers.bounds import (
     exhaustive_cost_bounds,
     trivial_lower_bound,
@@ -248,17 +250,6 @@ class TestGoldenOptima:
         cost = solve_optimal_legacy(inst, return_schedule=False).cost
         assert cost == Fraction(expected)
 
-    def test_idastar_matches_golden(
-        self, dags, dag_name, model, red_limit, expected
-    ):
-        inst = PebblingInstance(
-            dag=dags[dag_name], model=model, red_limit=red_limit
-        )
-        cost = solve_optimal_idastar(
-            inst, return_schedule=False, budget=20_000_000
-        ).cost
-        assert cost == Fraction(expected)
-
     def test_numpy_engine_matches_golden(
         self, dags, dag_name, model, red_limit, expected
     ):
@@ -267,6 +258,21 @@ class TestGoldenOptima:
         )
         result = solve_optimal(inst, engine="numpy")
         assert result.cost == Fraction(expected)
+        report = validate_schedule(inst, result.schedule)
+        assert report.ok, report.violations[:3]
+        assert report.cost == result.cost
+
+    def test_uniform_cost_numpy_engine_matches_golden(
+        self, dags, dag_name, model, red_limit, expected
+    ):
+        """The numpy frontier loop with its bound twin switched off, so a
+        wrong optimum points at the loop, not at the bound."""
+        inst = PebblingInstance(
+            dag=dags[dag_name], model=model, red_limit=red_limit
+        )
+        result = solve_optimal(inst, engine="numpy", heuristic=None)
+        assert result.cost == Fraction(expected)
+        assert result.heuristic == "none"
         report = validate_schedule(inst, result.schedule)
         assert report.ok, report.violations[:3]
         assert report.cost == result.cost

@@ -248,6 +248,7 @@ class PebbleService:
         except _HttpError as exc:
             status, payload = exc.status, _error_body(exc.code, exc.message)
         except Exception as exc:  # never let a handler kill the connection loop
+            self.queue.stats.internal_errors += 1
             status, payload = 500, _error_body(
                 "internal-error", f"{type(exc).__name__}: {exc}"
             )

@@ -58,6 +58,8 @@ class QueueStats:
     errors: int = 0          # cells finishing status=error
     timeouts: int = 0        # cells finishing status=timeout
     store_errors: int = 0    # store.put calls that raised
+    failed_batches: int = 0  # backend dispatches that raised
+    internal_errors: int = 0  # requests answered 500 (handler raised)
     largest_batch: int = 0
 
     def to_dict(self) -> Dict[str, int]:
@@ -197,6 +199,7 @@ class JobQueue:
                     self._pending.pop(b.task_hash, None)
                 raise
             except Exception as exc:
+                self.stats.failed_batches += 1
                 for b in batch:
                     self._pending.pop(b.task_hash, None)
                     if not b.future.done():

@@ -28,11 +28,12 @@ stage as vectorized bitwise operations:
 
 Exactness is preserved end to end: masks are uint64 (DAGs up to 64
 nodes — beyond that the arbitrary-precision ``bits`` engine takes over),
-costs are the kernel's scaled integers, and the closed/best-``g`` stores
-are keyed by exact packed keys, never by lossy hashes.  When ``3n <= 64``
-a whole state packs into one ``uint64`` and the store is the sorted
-arrays of :class:`_GStore`; wider layouts (21 < n <= 64) key python
-dictionaries by ``(red, blue, computed)`` tuples.
+costs are the kernel's scaled integers, and one store, :class:`_Store`,
+keeps every state's best ``g``, its closed mark and its parent as
+sorted arrays keyed by exact packed keys, never by lossy hashes.  A key
+is one ``uint64`` when ``3n <= 64``; wider layouts (21 < n <= 64) key
+each state by its three masks viewed as one 24-byte ``np.void``, so both
+widths run the same vectorized path.
 
 The pure-python kernel stays authoritative: ``engine="bits"`` remains
 the default of :func:`repro.solvers.exact.solve_optimal`, and the
@@ -42,6 +43,8 @@ plus the golden-optima zoo pin this engine to it on every run.
 
 from __future__ import annotations
 
+import heapq
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 try:
@@ -56,7 +59,7 @@ from ..core.bitstate import iter_bits
 from ..core.errors import BudgetExceededError, SolverError
 from ..core.instance import PebblingInstance
 from . import kernel
-from .kernel import Expander, KernelResult, trace_codes
+from .kernel import Expander, KernelResult
 
 __all__ = [
     "astar_batch",
@@ -67,6 +70,12 @@ _LOAD, _STORE, _COMPUTE = 0, 1, 2
 
 _U64 = np.uint64
 
+#: most states of one f-bucket expanded per batch
+_BATCH_ROWS = 4096
+
+#: a state's key when 3n > 64: its (red, blue, computed) words as one value
+_WIDE_KEY = np.dtype((np.void, 3 * 8))
+
 # SWAR popcount constants (used when numpy predates bitwise_count)
 _M1 = _U64(0x5555555555555555)
 _M2 = _U64(0x3333333333333333)
@@ -74,70 +83,90 @@ _M4 = _U64(0x0F0F0F0F0F0F0F0F)
 _H01 = _U64(0x0101010101010101)
 
 
-def popcount_u64(a: "np.ndarray") -> "np.ndarray":
-    """Per-element population count of a uint64 array."""
-    if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-        return np.bitwise_count(a)
+def _popcount_swar(a: "np.ndarray") -> "np.ndarray":
+    """Per-element population count of a uint64 array, without numpy 2."""
     a = a - ((a >> _U64(1)) & _M1)
     a = (a & _M2) + ((a >> _U64(2)) & _M2)
     a = (a + (a >> _U64(4))) & _M4
     return (a * _H01) >> _U64(56)
 
 
-class _GStore:
-    """Sorted-array best-``g`` store for single-``uint64`` packed keys.
+#: per-element population count of a uint64 array
+popcount_u64 = getattr(np, "bitwise_count", _popcount_swar)
 
-    Replaces the ``closed`` set and the ``best_g`` dict of the generic
-    path with two flat arrays sorted by packed key, so both the pop-time
-    freshness check and the successor improvement filter become
-    ``searchsorted`` lookups plus boolean masks.  A *settled* (expanded)
-    state is encoded in place as ``g -> -g - 1``: real costs are
-    non-negative, so any later copy of the state fails both the
+
+class _Store:
+    """Sorted-array best-``g``, closed and parent store over packed keys.
+
+    ``cols`` are aligned columns sorted by the first: the key, the best
+    ``g`` and, when the store keeps parents, the parent's key and the
+    move code that reached the state (-1 at the start state).  The
+    pop-time freshness check, the successor improvement filter and the
+    trace are ``searchsorted`` lookups plus boolean masks.  A *settled*
+    (expanded) state is encoded in place as ``g -> -g - 1``: real costs
+    are non-negative, so any later copy of the state fails both the
     "fresh at its recorded g" test and the "improves on the old g" test
     without a separate closed set.
     """
 
-    __slots__ = ("keys", "g")
+    __slots__ = ("cols",)
 
-    def __init__(self, start_key: int) -> None:
-        self.keys = np.array([start_key], dtype=_U64)
-        self.g = np.zeros(1, dtype=np.int64)
+    def __init__(self, start: "np.ndarray", with_parents: bool) -> None:
+        self.cols: List["np.ndarray"] = [start, np.zeros(1, dtype=np.int64)]
+        if with_parents:
+            self.cols += [start.copy(), np.full(1, -1, dtype=np.int64)]
 
-    def _lookup(self, karr: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
-        pos = np.searchsorted(self.keys, karr)
-        pos = np.minimum(pos, len(self.keys) - 1)
-        found = self.keys[pos] == karr
-        return pos, found
+    def _lookup(self, karr: "np.ndarray") -> Tuple["np.ndarray", ...]:
+        keys = self.cols[0]
+        pos = np.searchsorted(keys, karr)
+        hit = np.minimum(pos, len(keys) - 1)
+        return pos, hit, keys[hit] == karr
 
     def settle(self, karr: "np.ndarray", g: "np.ndarray") -> "np.ndarray":
         """Keep-mask of batch rows popped at their recorded (optimal) g.
 
         ``karr`` must be duplicate-free; admitted rows are marked settled.
         """
-        pos, found = self._lookup(karr)
-        fresh = found & (self.g[pos] == g)
-        fpos = pos[fresh]
-        self.g[fpos] = -self.g[fpos] - 1
+        _, hit, found = self._lookup(karr)
+        best = self.cols[1]
+        fresh = found & (best[hit] == g)
+        at = hit[fresh]
+        best[at] = -best[at] - 1
         return fresh
 
-    def update(self, karr: "np.ndarray", ng: "np.ndarray") -> "np.ndarray":
+    def update(self, karr: "np.ndarray", *values: "np.ndarray") -> "np.ndarray":
         """Keep-mask of successors that are new or strictly improve.
 
-        ``karr`` must be duplicate-free; improved/new g values are
-        recorded (settled entries are never improved: their stored value
-        is negative, below any real cost).
+        ``karr`` must be sorted and duplicate-free; ``values`` are the
+        successors' g, then their parent keys and move codes when the
+        store keeps parents.  Improved rows overwrite their entry (settled
+        entries are never improved: their stored g is negative, below any
+        real cost); new keys are inserted at their sorted positions.
         """
-        pos, found = self._lookup(karr)
-        improved = found & (ng < self.g[pos])
-        self.g[pos[improved]] = ng[improved]
+        pos, hit, found = self._lookup(karr)
+        improved = found & (values[0] < self.cols[1][hit])
+        at = hit[improved]
+        for col, v in zip(self.cols[1:], values, strict=True):
+            col[at] = v[improved]
         new = ~found
         if new.any():
-            self.keys = np.concatenate([self.keys, karr[new]])
-            self.g = np.concatenate([self.g, ng[new]])
-            order = np.argsort(self.keys, kind="stable")
-            self.keys = self.keys[order]
-            self.g = self.g[order]
+            at = pos[new]
+            # one column at a time, so that only one is ever held twice
+            for i, v in enumerate((karr, *values)):
+                self.cols[i] = np.insert(self.cols[i], at, v[new])
         return new | improved
+
+    def trace(self, key: "np.ndarray") -> List[int]:
+        """The move codes along the parent columns from the start to
+        ``key``, a one-element key array."""
+        keys, _, parent, code = self.cols
+        codes = []
+        pos = int(np.searchsorted(keys, key)[0])
+        while code[pos] >= 0:
+            codes.append(int(code[pos]))
+            pos = int(np.searchsorted(keys, parent[pos:pos + 1])[0])
+        codes.reverse()
+        return codes
 
 
 class _BatchContext:
@@ -167,23 +196,17 @@ class _BatchContext:
         self.parent_masks = np.array(ex.parent_masks, dtype=_U64)
         self.full_mask = _U64(ex.full_mask)
         self.sink_mask = _U64(ex.sink_mask)
-        # 3n <= 64: a whole state packs into one uint64, so batch keys
-        # come from vector arithmetic; otherwise keys are (r, b, c) tuples
-        self.pack_shift = n if 3 * n <= 64 else None
+        # 3n <= 64: a whole state packs into one uint64
+        self.pack_shift = _U64(n) if 3 * n <= 64 else None
 
     def keys_of(
         self, red: "np.ndarray", blue: "np.ndarray", computed: "np.ndarray"
-    ) -> list:
-        """Exact dictionary keys for a batch, cheapest representation."""
+    ) -> "np.ndarray":
+        """Exact store keys of a batch: packed ``uint64`` or :data:`_WIDE_KEY`."""
         shift = self.pack_shift
         if shift is not None:
-            return (
-                (red << _U64(2 * shift)) | (blue << _U64(shift)) | computed
-            ).tolist()
-        return list(zip(red.tolist(), blue.tolist(), computed.tolist()))
-
-    def start_key(self) -> "int | Tuple[int, int, int]":
-        return 0 if self.pack_shift is not None else (0, 0, 0)
+            return (red << shift << shift) | (blue << shift) | computed
+        return np.stack((red, blue, computed), axis=1).view(_WIDE_KEY).ravel()
 
 
 # --------------------------------------------------------------------- #
@@ -260,12 +283,7 @@ def _expand_batch(
     bits = ctx.bits
     parent_masks = ctx.parent_masks
 
-    pi_parts: List[np.ndarray] = []
-    red_parts: List[np.ndarray] = []
-    blue_parts: List[np.ndarray] = []
-    comp_parts: List[np.ndarray] = []
-    cost_parts: List[np.ndarray] = []
-    code_parts: List[np.ndarray] = []
+    parts: List[Tuple["np.ndarray", ...]] = []
 
     def emit(
         pi: "np.ndarray",
@@ -275,14 +293,9 @@ def _expand_batch(
         cost_i: int,
         codes: "np.ndarray",
     ) -> None:
-        if len(pi) == 0:
-            return
-        pi_parts.append(pi)
-        red_parts.append(nred)
-        blue_parts.append(nblue)
-        comp_parts.append(ncomp)
-        cost_parts.append(np.full(len(pi), cost_i, dtype=np.int64))
-        code_parts.append(codes)
+        if len(pi):
+            cost = np.full(len(pi), cost_i, dtype=np.int64)
+            parts.append((pi, nred, nblue, ncomp, cost, codes))
 
     has_slot = popcount_u64(red) < ex.red_limit
     if ex.recompute_allowed:
@@ -335,18 +348,11 @@ def _expand_batch(
     emit(si, red[si] ^ bits[vi], blue[si] | bits[vi], computed[si],
          ex.store_i, _STORE * n + vi)
 
-    if not pi_parts:
+    if not parts:
         empty_u = np.empty(0, dtype=_U64)
         empty_i = np.empty(0, dtype=np.int64)
         return empty_i, empty_u, empty_u, empty_u, empty_i, empty_i
-    return (
-        np.concatenate(pi_parts),
-        np.concatenate(red_parts),
-        np.concatenate(blue_parts),
-        np.concatenate(comp_parts),
-        np.concatenate(cost_parts),
-        np.concatenate(code_parts),
-    )
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 # --------------------------------------------------------------------- #
@@ -360,56 +366,33 @@ def astar_batch(
     budget: int = 2_000_000,
     return_schedule: bool = True,
     heuristic: Optional[str] = "auto",
-    max_batch: int = 4096,
-    on_exhausted: str = "raise",
 ) -> KernelResult:
     """Optimal pebbling cost by batched best-first search over state arrays.
 
     Same contract as :func:`repro.solvers.kernel.astar_bits` — same edge
     alphabet, same ``heuristic`` bound with its dead rows dropped before
-    they reach the store, same budget/exhaustion semantics — with
-    expansion proceeding a frontier batch (up to ``max_batch`` states of
-    minimal ``f``) at a time.  Expansion *order* within one cost level
-    differs from the python kernel's heap tie-breaking, so ``expanded`` /
-    ``generated`` counters are comparable but not identical across
-    engines.
+    they reach the store, and :class:`BudgetExceededError` past
+    ``budget`` expansions — with expansion proceeding a frontier batch
+    (up to :data:`_BATCH_ROWS` states of minimal ``f``) at a time.
+    Expansion *order* within one cost level differs from the python
+    kernel's heap tie-breaking, so ``expanded`` / ``generated`` counters
+    are comparable but not identical across engines.
     """
-    kernel.check_on_exhausted(on_exhausted)
     terms = kernel.bound_terms(instance.costs, heuristic)
     ex = Expander(instance)
     if ex.sink_mask == 0:  # empty DAG (or no sinks): already complete
-        from fractions import Fraction
-
         return KernelResult(Fraction(0), [] if return_schedule else None, 0, 0)
     ctx = _BatchContext(ex)
     h = _compile_bound(ctx, terms)
 
-    start_red = np.zeros(1, dtype=_U64)
-    if h is not None:
-        h0 = int(h(start_red, start_red, start_red)[0])
-    else:
-        h0 = 0
-    start_key = ctx.start_key()
-
+    zero = np.zeros(1, dtype=_U64)
+    h0 = 0 if h is None else int(h(zero, zero, zero)[0])
+    store = _Store(ctx.keys_of(zero, zero, zero), return_schedule)
     # Dial-style bucket queue: f -> list of (red, blue, computed, g) chunks
     buckets: Dict[int, List[tuple]] = {
-        h0: [(start_red, start_red.copy(), start_red.copy(),
-              np.zeros(1, dtype=np.int64))]
+        h0: [(zero, zero, zero, np.zeros(1, dtype=np.int64))]
     }
-    import heapq
-
     fheap = [h0]
-    # single-uint64 packed keys get the fully vectorized store; wider
-    # layouts (21 < n <= 64) fall back to tuple keys in python dicts
-    fast = ctx.pack_shift is not None
-    if fast:
-        store = _GStore(start_key)
-        closed: set = set()
-        best_g: Dict[object, int] = {}
-    else:
-        closed = set()
-        best_g = {start_key: 0}
-    parents: Dict[object, tuple] = {}
     expanded = 0
     generated = 0
     sink_mask = ctx.sink_mask
@@ -422,9 +405,9 @@ def astar_batch(
             buckets.pop(f, None)
             continue
 
-        # gather up to max_batch rows of the minimum-f bucket
+        # gather up to _BATCH_ROWS rows of the minimum-f bucket
         taken, size = [], 0
-        while chunk_list and size < max_batch:
+        while chunk_list and size < _BATCH_ROWS:
             chunk = chunk_list.pop()
             taken.append(chunk)
             size += len(chunk[0])
@@ -436,57 +419,34 @@ def astar_batch(
             computed = np.concatenate([c[2] for c in taken])
             g = np.concatenate([c[3] for c in taken])
 
-        # drop states already settled (an earlier pop won), dedup in-batch
-        if fast:
-            shift = _U64(ctx.pack_shift)
-            karr = (red << shift << shift) | (blue << shift) | computed
-            if len(karr) > 1:
-                # equal keys in one f-bucket carry equal g (h is a
-                # function of the state), so any representative works
-                karr, first = np.unique(karr, return_index=True)
-                red, blue, computed, g = (
-                    red[first], blue[first], computed[first], g[first]
-                )
-            fresh = store.settle(karr, g)
-            if not fresh.all():
-                if not fresh.any():
-                    continue
-                idx = np.nonzero(fresh)[0]
-                red, blue, computed, g, karr = (
-                    red[idx], blue[idx], computed[idx], g[idx], karr[idx]
-                )
-            keys = None
-        else:
-            keys = ctx.keys_of(red, blue, computed)
-            keep = [
-                i for i, k in enumerate(keys)
-                if k not in closed and not closed.add(k)
-            ]
-            if not keep:
+        # dedup in-batch, then drop states already settled (an earlier
+        # pop won)
+        karr = ctx.keys_of(red, blue, computed)
+        if len(karr) > 1:
+            # equal keys in one f-bucket carry equal g (h is a function
+            # of the state), so any representative works
+            karr, first = np.unique(karr, return_index=True)
+            red, blue, computed, g = red[first], blue[first], computed[first], g[first]
+        fresh = store.settle(karr, g)
+        if not fresh.all():
+            if not fresh.any():
                 continue
-            if len(keep) != len(keys):
-                idx = np.array(keep, dtype=np.int64)
-                red, blue, computed, g = red[idx], blue[idx], computed[idx], g[idx]
-                keys = [keys[i] for i in keep]
+            idx = np.nonzero(fresh)[0]
+            red, blue, computed, g, karr = (
+                red[idx], blue[idx], computed[idx], g[idx], karr[idx]
+            )
 
         goal = np.nonzero((sink_mask & ~(red | blue)) == 0)[0]
         if len(goal):
             i = int(goal[0])
-            goal_key = int(karr[i]) if fast else keys[i]
             moves = None
             if return_schedule:
-                moves = ex.decode_moves(trace_codes(parents, goal_key))
+                moves = ex.decode_moves(store.trace(karr[i:i + 1]))
             return KernelResult(
                 ex.unscale(int(g[i])), moves, expanded, generated
             )
 
         if expanded + len(red) > budget:
-            if on_exhausted == "bound":
-                # this batch came from the minimum open bucket, so f is
-                # the tightest lower bound still open
-                return KernelResult(
-                    ex.unscale(f), None, expanded, generated, complete=False
-                )
             raise BudgetExceededError(budget)
         expanded += len(red)
 
@@ -494,70 +454,37 @@ def astar_batch(
         if len(pi) == 0:
             continue
         ng = g[pi] + cost
-        hv: Optional["np.ndarray"] = None
 
-        if fast:
-            shift = _U64(ctx.pack_shift)
-            kall = (nred << shift << shift) | (nblue << shift) | ncomp
-            if len(kall) > 1:
-                # keep only the min-g representative of each distinct
-                # successor before touching the store
-                order = np.lexsort((ng, kall))
-                ksort = kall[order]
-                first = np.empty(len(order), dtype=bool)
-                first[0] = True
-                np.not_equal(ksort[1:], ksort[:-1], out=first[1:])
-                rep = order[first]
-                pi, nred, nblue, ncomp, ng, code = (
-                    pi[rep], nred[rep], nblue[rep], ncomp[rep],
-                    ng[rep], code[rep],
-                )
-                kall = ksort[first]
-            if h is not None:
-                hv = h(nred, nblue, ncomp)
-                alive = np.nonzero(hv != DEAD)[0]
-                pi, nred, nblue, ncomp, ng, code, kall, hv = (
-                    a[alive] for a in (pi, nred, nblue, ncomp, ng, code, kall, hv)
-                )
-            # settled states carry negative stored g, so the improvement
-            # test alone also rejects every closed state
-            keepm = store.update(kall, ng)
-            if not keepm.any():
-                continue
-            idx = np.nonzero(keepm)[0]
-            generated += len(idx)
-            if return_schedule:
-                parents.update(zip(
-                    kall[idx].tolist(),
-                    zip(karr[pi[idx]].tolist(), code[idx].tolist()),
-                ))
+        # keep only the min-g representative of each distinct successor
+        # before touching the store; this also sorts the successors by key
+        kall = ctx.keys_of(nred, nblue, ncomp)
+        order = np.lexsort((ng, kall))
+        ksort = kall[order]
+        first = np.empty(len(order), dtype=bool)
+        first[0] = True
+        first[1:] = ksort[1:] != ksort[:-1]
+        rep = order[first]
+        kall = ksort[first]
+        pi, nred, nblue, ncomp, ng, code = (
+            a[rep] for a in (pi, nred, nblue, ncomp, ng, code)
+        )
+        hv: Optional["np.ndarray"] = None
+        if h is not None:
+            hv = h(nred, nblue, ncomp)
+            alive = np.nonzero(hv != DEAD)[0]
+            pi, nred, nblue, ncomp, ng, code, kall, hv = (
+                a[alive] for a in (pi, nred, nblue, ncomp, ng, code, kall, hv)
+            )
+        # settled states carry negative stored g, so the improvement
+        # test alone also rejects every closed state
+        if return_schedule:
+            keepm = store.update(kall, ng, karr[pi], code)
         else:
-            if h is not None:
-                hv = h(nred, nblue, ncomp)
-                alive = np.nonzero(hv != DEAD)[0]
-                pi, nred, nblue, ncomp, ng, code, hv = (
-                    a[alive] for a in (pi, nred, nblue, ncomp, ng, code, hv)
-                )
-            # a state already settled (popped) has its optimal g in
-            # best_g, so the g-improvement test alone also rejects every
-            # closed state
-            nkeys = ctx.keys_of(nred, nblue, ncomp)
-            ng_list = ng.tolist()
-            pi_list = pi.tolist()
-            code_list = code.tolist()
-            keep = []
-            for j, k in enumerate(nkeys):
-                old = best_g.get(k)
-                gj = ng_list[j]
-                if old is None or gj < old:
-                    best_g[k] = gj
-                    if return_schedule:
-                        parents[k] = (keys[pi_list[j]], code_list[j])
-                    keep.append(j)
-            if not keep:
-                continue
-            generated += len(keep)
-            idx = np.array(keep, dtype=np.int64)
+            keepm = store.update(kall, ng)
+        if not keepm.any():
+            continue
+        idx = np.nonzero(keepm)[0]
+        generated += len(idx)
 
         nred, nblue, ncomp, ng = nred[idx], nblue[idx], ncomp[idx], ng[idx]
         nf = ng if hv is None else ng + hv[idx]

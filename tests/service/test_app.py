@@ -230,6 +230,44 @@ class TestErrorPaths:
 
         run(scenario())
 
+    def test_failed_backend_batch_is_counted(self):
+        class BrokenBackend(InlineBackend):
+            def run_tasks(self, batch, **kw):
+                raise RuntimeError("worker pool is gone")
+
+        async def scenario():
+            async with ServiceHarness(backend=BrokenBackend()) as h:
+                for n, dag in enumerate(["chain:3", "chain:4"], start=1):
+                    with pytest.raises(ServiceError) as info:
+                        await h.call("query", {"dag": dag, "method": "baseline"})
+                    assert info.value.status == 500
+                    assert info.value.code == "internal-error"
+                    stats = await h.call("stats")
+                    assert stats["queue"]["failed_batches"] == n
+                    assert stats["queue"]["internal_errors"] == n
+                    assert stats["queue"]["executed"] == 0
+
+        run(scenario())
+
+    def test_handler_exception_is_counted(self):
+        class BrokenStore(MemoryResultStore):
+            def get(self, task):
+                raise OSError("store is unreadable")
+
+        async def scenario():
+            async with ServiceHarness(store=BrokenStore()) as h:
+                with pytest.raises(ServiceError) as info:
+                    await h.call("query", {"dag": "chain:4", "method": "baseline"})
+                assert info.value.status == 500
+                assert info.value.code == "internal-error"
+                assert "store is unreadable" in str(info.value)
+                stats = await h.call("stats")
+                assert stats["queue"]["internal_errors"] == 1
+                assert stats["queue"]["failed_batches"] == 0
+                assert stats["queue"]["batches"] == 0
+
+        run(scenario())
+
     def test_unknown_route_and_wrong_verb(self):
         async def scenario():
             async with ServiceHarness() as h:

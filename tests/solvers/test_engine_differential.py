@@ -79,10 +79,13 @@ GADGETS = [
     ("tree:4", "oneshot", 3),
     ("tradeoff:2x4", "nodel", 4),
     ("h2c:4", "base", 4),
-    # wider than 21 nodes: the numpy engine's tuple-key path (3n > 64)
+    # wider than 21 nodes: the numpy engine's 24-byte keys (3n > 64)
     ("chain:24", "nodel", 2),
     ("grid:2x12", "oneshot", 3),
     ("chain:40", "nodel", 2),
+    # 64 nodes, the most numpy accepts: bit 63 of each mask goes
+    # through the key, the store and the trace
+    ("chain:64", "nodel", 2),
 ]
 GADGET_IDS = [f"{s}-{m}-r{r}" for s, m, r in GADGETS]
 

@@ -22,7 +22,6 @@ from repro.multilevel import (
     two_level_equivalent,
 )
 from repro.solvers import (
-    astar_batch,
     multilevel_cost_bounds,
     solve_multilevel_optimal,
     solve_optimal,
@@ -142,8 +141,8 @@ class TestBudgetAndBounds:
             solve_multilevel_optimal(three_level, budget=5)
 
     @pytest.mark.parametrize(
-        "solve", [solve_multilevel_optimal, astar_bits, astar_batch],
-        ids=["multilevel", "bits", "numpy"],
+        "solve", [solve_multilevel_optimal, astar_bits],
+        ids=["multilevel", "bits"],
     )
     @pytest.mark.parametrize("budget", [5, 2_000_000])
     def test_unknown_on_exhausted_mode_rejected_up_front(

@@ -119,6 +119,8 @@ class BitLayout:
         Per-bit masks of the node's inputs / consumers.
     source_mask / sink_mask / full_mask:
         Masks of the sources, the sinks, and all nodes.
+    repr_rank:
+        Per-bit dense rank of ``repr(node)`` (built on first use).
     """
 
     __slots__ = (
@@ -132,6 +134,7 @@ class BitLayout:
         "sink_mask",
         "full_mask",
         "_sink_closures",
+        "_repr_rank",
     )
 
     def __init__(self, dag: ComputationDAG) -> None:
@@ -155,6 +158,7 @@ class BitLayout:
         self.source_mask = sum(1 << idx[v] for v in dag.sources)
         self.sink_mask = sum(1 << idx[v] for v in dag.sinks)
         self._sink_closures: "Dict[int, int] | None" = None
+        self._repr_rank: "List[int] | None" = None
 
     # ------------------------------------------------------------------ #
     # set / state conversion
@@ -211,6 +215,19 @@ class BitLayout:
                         stack.append(p)
                 self._sink_closures[s] = closure
         return self._sink_closures[sink_bit]
+
+    @property
+    def repr_rank(self) -> List[int]:
+        """Per-bit dense rank of ``repr(node)``: equal reprs share a rank,
+        so sorting bits by it orders them as sorting nodes by ``repr`` does.
+
+        The pebblers break ties on it; it is built once per layout.
+        """
+        if self._repr_rank is None:
+            reprs = [repr(v) for v in self.nodes]
+            dense = {r: k for k, r in enumerate(sorted(set(reprs)))}
+            self._repr_rank = [dense[r] for r in reprs]
+        return self._repr_rank
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BitLayout(n={self.n}, dag={self.dag!r})"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.dag import Node
 from ..core.instance import PebblingInstance
@@ -68,8 +68,9 @@ def beam_search_pebble(
     expanded = 0
 
     for _ in range(total_nodes):
-        candidates: List[Tuple[Fraction, OnlinePebbler, List[Node]]] = []
-        seen_boards = {}
+        # one candidate per board, keyed by the bitmask signature (three
+        # ints, cheap to hash): the cheapest, the first among equal costs
+        boards: Dict[Tuple[int, int, int], Tuple[Fraction, OnlinePebbler, List[Node]]] = {}
         for cost, pebbler, order in beam:
             for v in pebbler.ready_nodes():
                 twin = pebbler.clone()
@@ -78,17 +79,14 @@ def beam_search_pebble(
                 tcost = cost + sum(
                     price[m.kind_id] for m in twin.moves[len(pebbler.moves):]
                 )
-                # bitmask board signature: three ints, cheap to hash
                 signature = (twin.red_mask, twin.blue_mask, twin.computed_mask)
-                prev = seen_boards.get(signature)
-                if prev is not None and prev <= tcost:
+                prev = boards.get(signature)
+                if prev is not None and prev[0] <= tcost:
                     continue
-                seen_boards[signature] = tcost
-                candidates.append((tcost, twin, order + [v]))
-        if not candidates:
+                boards[signature] = (tcost, twin, order + [v])
+        if not boards:
             break  # every node computed
-        candidates.sort(key=lambda item: (item[0], repr(item[2])))
-        beam = candidates[:beam_width]
+        beam = sorted(boards.values(), key=lambda item: (item[0], repr(item[2])))[:beam_width]
 
     _, best_pebbler, best_order = beam[0]
     schedule = best_pebbler.schedule()

@@ -2,27 +2,35 @@
 
 When a pebbler needs a free red slot it must pick a *victim* among the
 current red pebbles (excluding those pinned by the computation in
-progress).  The policy only picks the victim; what happens to it (store,
-delete, ...) is decided by the pebbler from the model rules and the
-victim's remaining uses.
+progress).  The pebbler first narrows them to its cheapest non-empty
+cost tier; a policy only breaks the tie inside that tier.  What happens
+to the victim (store, delete, ...) is decided by the pebbler from the
+model rules and the victim's remaining uses.
 
-Policies see a :class:`EvictionContext` snapshot and must be deterministic
-given it (RandomEviction is seeded).  ``next_use`` is exact when the
-pebbler follows a fixed order (making :class:`FurthestNextUse` the Belady
-policy, optimal for uniform re-acquisition costs) and is ``None`` (treated
-as "never") for nodes with no remaining uses.
+A policy works on bit indices of the pebbler's
+:class:`~repro.core.bitstate.BitLayout`.  :meth:`EvictionPolicy.choose`
+gets the tier as an ascending list of bits and reads the pebbler's per-bit
+lists: ``_remaining`` (uncomputed consumers), ``_last_used`` (the move
+count when the node was last read or computed, -1 if never) and
+``_next_use(i)`` (the position of the node's next use, infinite when it
+has none).  ``_next_use`` is exact when the pebbler follows a fixed order,
+which makes :class:`FurthestNextUse` the Belady policy, optimal for
+uniform re-acquisition costs.
+
+Every policy is deterministic given the board (RandomEviction is seeded).
+Ties on a policy's key go to the larger ``repr`` (the layout's
+``repr_rank``), then to the lower bit.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, List
 
-from ..core.dag import Node
+if TYPE_CHECKING:  # pragma: no cover
+    from .pebbler import OnlinePebbler
 
 __all__ = [
-    "EvictionContext",
     "EvictionPolicy",
     "FurthestNextUse",
     "MinRemainingUses",
@@ -30,46 +38,15 @@ __all__ = [
     "RandomEviction",
 ]
 
-_INF = float("inf")
-
-
-@dataclass(frozen=True)
-class EvictionContext:
-    """What a policy may look at when choosing a victim.
-
-    Attributes
-    ----------
-    remaining_uses:
-        ``f(v)`` -> number of consumers of v not yet computed.
-    next_use:
-        ``f(v)`` -> position (in the pebbler's order) of v's next use, or
-        None when v is never used again.  Exact for fixed orders.
-    last_used:
-        ``f(v)`` -> step index when v was last read (for LRU).
-    step:
-        Current step index.
-    """
-
-    remaining_uses: Callable[[Node], int]
-    next_use: Callable[[Node], Optional[int]]
-    last_used: Callable[[Node], int]
-    step: int
-
 
 class EvictionPolicy:
-    """Base class: rank candidates, evict the maximum-rank one."""
+    """Base class: pick the victim among a tier of red pebbles."""
 
     name = "abstract"
 
-    def choose_victim(
-        self, candidates: Sequence[Node], ctx: EvictionContext
-    ) -> Node:
-        if not candidates:
-            raise ValueError("no eviction candidates")
-        return max(candidates, key=lambda v: (self.rank(v, ctx), repr(v)))
-
-    def rank(self, v: Node, ctx: EvictionContext):  # pragma: no cover - abstract
-        raise NotImplementedError
+    def choose(self, pool: List[int], pebbler: "OnlinePebbler") -> int:
+        """The bit to evict from ``pool`` (ascending, at least two bits)."""
+        raise NotImplementedError  # pragma: no cover - abstract
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}()"
@@ -82,9 +59,10 @@ class FurthestNextUse(EvictionPolicy):
 
     name = "belady"
 
-    def rank(self, v: Node, ctx: EvictionContext):
-        nu = ctx.next_use(v)
-        return _INF if nu is None else nu
+    def choose(self, pool: List[int], pebbler: "OnlinePebbler") -> int:
+        next_use = pebbler._next_use
+        rank = pebbler._layout.repr_rank
+        return max(pool, key=lambda i: (next_use(i), rank[i]))
 
 
 class MinRemainingUses(EvictionPolicy):
@@ -95,8 +73,10 @@ class MinRemainingUses(EvictionPolicy):
 
     name = "min-uses"
 
-    def rank(self, v: Node, ctx: EvictionContext):
-        return -ctx.remaining_uses(v)
+    def choose(self, pool: List[int], pebbler: "OnlinePebbler") -> int:
+        remaining = pebbler._remaining
+        rank = pebbler._layout.repr_rank
+        return max(pool, key=lambda i: (-remaining[i], rank[i]))
 
 
 class LeastRecentlyUsed(EvictionPolicy):
@@ -104,8 +84,10 @@ class LeastRecentlyUsed(EvictionPolicy):
 
     name = "lru"
 
-    def rank(self, v: Node, ctx: EvictionContext):
-        return ctx.step - ctx.last_used(v)
+    def choose(self, pool: List[int], pebbler: "OnlinePebbler") -> int:
+        last_used = pebbler._last_used
+        rank = pebbler._layout.repr_rank
+        return max(pool, key=lambda i: (-last_used[i], rank[i]))
 
 
 class RandomEviction(EvictionPolicy):
@@ -116,11 +98,6 @@ class RandomEviction(EvictionPolicy):
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
 
-    def choose_victim(self, candidates: Sequence[Node], ctx: EvictionContext) -> Node:
-        if not candidates:
-            raise ValueError("no eviction candidates")
-        ordered = sorted(candidates, key=repr)
+    def choose(self, pool: List[int], pebbler: "OnlinePebbler") -> int:
+        ordered = sorted(pool, key=pebbler._layout.repr_rank.__getitem__)
         return ordered[self._rng.randrange(len(ordered))]
-
-    def rank(self, v: Node, ctx: EvictionContext):  # pragma: no cover
-        return 0

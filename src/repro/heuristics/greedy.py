@@ -25,13 +25,15 @@ reduction's tests) while remaining a purely local rule.
 Selection runs on the pebbler's bitmask board (:mod:`repro.core.bitstate`).
 The ready set is a mask: it starts at the layout's sources, and after
 each compute it loses the computed node and gains every consumer whose
-parent mask is now inside ``computed``.  A candidate's score is the
-popcount of its parent mask and ``red`` (or ``blue``).  Its secondary
-key scans only those of its consumers that also consume a red node, the
-only nodes whose red-input count is not zero.  (A ready node's consumers
-are all uncomputed, since a node is computed only after its inputs.)
-Bit index is topological position, so the first best candidate of an
-ascending scan wins the final tie-break.
+parent mask is now inside ``computed``.  Selection takes two passes.
+The first scores every candidate: the popcount of its parent mask and
+``red`` (or ``blue``).  The second computes the secondary key only for
+the candidates with the top score, and only when there are several; it
+scans only those of a candidate's consumers that also consume a red
+node, the only nodes whose red-input count is not zero.  (A ready node's
+consumers are all uncomputed, since a node is computed only after its
+inputs.)  Bit index is topological position, so the first best candidate
+of an ascending scan wins the final tie-break.
 
 For base/nodel/compcost the greedy is interpreted as ordering the *first*
 computation of every node (Appendix A.4); the pebbler's model-aware
@@ -112,37 +114,44 @@ def greedy_pebble(
     succ_masks = layout.succ_masks
     order: List[Node] = []
 
+    # the rule as locals: an enum member lookup per candidate is slow
+    fewest_blue = rule is GreedyRule.FEWEST_BLUE_INPUTS
+    ratio = rule is GreedyRule.RED_RATIO
     ready = layout.source_mask
     while ready:
         red = pebbler.red_mask
-        counted = pebbler.blue_mask if rule is GreedyRule.FEWEST_BLUE_INPUTS else red
-        # consumers of red nodes: the only nonzero red-input counts (a
-        # ready node's consumers are all uncomputed)
-        hot = 0
-        for r in iter_bits(red):
-            hot |= succ_masks[r]
-        best, best_score, best_secondary = -1, -math.inf, 0
+        counted = pebbler.blue_mask if fewest_blue else red
+        # pass 1: the top score and the candidates that reach it
+        top: List[int] = []
+        best_score = -math.inf
         for i in iter_bits(ready):
             inputs = parent_masks[i]
             count = (inputs & counted).bit_count()
-            if rule is GreedyRule.MOST_RED_INPUTS:
-                score: float = count
-            elif rule is GreedyRule.FEWEST_BLUE_INPUTS:
-                score = -count
+            if ratio:
+                score: float = count / inputs.bit_count() if inputs else 0.0
             else:
-                score = count / inputs.bit_count() if inputs else 0.0
-            if score < best_score:
-                continue
-            secondary = 0
-            warm = succ_masks[i] & hot
-            if warm:  # most candidates have none; skip the generator
-                for j in iter_bits(warm):
-                    reds = (parent_masks[j] & red).bit_count()
-                    if reds > secondary:
-                        secondary = reds
-            # strict: an equal key keeps the lower bit (topological index)
-            if score > best_score or secondary > best_secondary:
-                best, best_score, best_secondary = i, score, secondary
+                score = -count if fewest_blue else count
+            if score > best_score:
+                top, best_score = [i], score
+            elif score == best_score:
+                top.append(i)
+        best = top[0]
+        if len(top) > 1:
+            # pass 2: the secondary key among the top scores.  Consumers of
+            # red nodes have the only nonzero red-input counts (a ready
+            # node's consumers are all uncomputed).
+            hot = 0
+            for r in iter_bits(red):
+                hot |= succ_masks[r]
+            best_secondary = 0
+            for i in top:
+                warm = succ_masks[i] & hot
+                if not warm:  # most candidates have none
+                    continue
+                secondary = max((parent_masks[j] & red).bit_count() for j in iter_bits(warm))
+                # strict: an equal key keeps the lower bit (topological index)
+                if secondary > best_secondary:
+                    best, best_secondary = i, secondary
         v = nodes[best]
         pebbler.compute_next(v)
         order.append(v)

@@ -9,10 +9,9 @@ node selector (the greedy rules of :mod:`repro.heuristics.greedy`).
 The board lives natively on the bitmask encoding of
 :mod:`repro.core.bitstate`: ``red``/``blue``/``computed`` are three ints,
 readiness tests are mask comparisons, and :meth:`OnlinePebbler.clone`
-(the hot operation of beam search) copies ints instead of sets.  The
-node-level views (:attr:`OnlinePebbler.red` and friends) decode on demand
-for callers and debuggers; eviction policies keep their node-level
-:class:`EvictionContext` interface unchanged.
+(the hot operation of beam search) copies ints and three per-bit lists.
+The node-level views (:attr:`OnlinePebbler.red` and friends) decode on
+demand for callers and debuggers.
 
 Model-aware rules (derived from Table 1, validated against the simulator):
 
@@ -23,7 +22,17 @@ Model-aware rules (derived from Table 1, validated against the simulator):
   for free, Store when it will be needed again and cannot be recomputed,
   always Store in nodel;
 * eviction victims are picked in *cost tiers* (free victims first), with
-  the configured :class:`EvictionPolicy` breaking ties inside a tier.
+  the configured :class:`~repro.heuristics.eviction.EvictionPolicy`
+  breaking ties inside a tier.
+
+The tiers are masks.  ``dead`` holds the values with no uncomputed
+consumer (sinks from the start) and ``free`` the sources when the model
+allows recomputation.  Outside nodel the cheapest tier is the dead or
+free non-sinks (a Delete now, at most a recompute later), then the sinks
+(one Store), then the rest (a Store now and a Load later); in nodel, where
+every eviction is a Store, it is the dead or free values, then the rest.
+A policy sees the tier's bit indices and the pebbler's per-bit lists (see
+:mod:`repro.heuristics.eviction`).
 
 The pebbler maintains the invariant that every computed value that is
 still needed keeps a pebble (red or blue), so oneshot never loses a value
@@ -32,7 +41,8 @@ it cannot recompute, and completed sinks always stay pebbled.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
+import math
+from typing import FrozenSet, List, Optional, Sequence
 
 from ..core.bitstate import BitLayout, bit_layout, iter_bits
 from ..core.dag import ComputationDAG, Node
@@ -41,7 +51,7 @@ from ..core.instance import PebblingInstance
 from ..core.models import Model
 from ..core.moves import Compute, Delete, Load, Move, Store
 from ..core.schedule import Schedule
-from .eviction import EvictionContext, EvictionPolicy, FurthestNextUse, MinRemainingUses
+from .eviction import EvictionPolicy, FurthestNextUse, MinRemainingUses
 
 __all__ = ["OnlinePebbler", "PebblerError", "fixed_order_schedule"]
 
@@ -63,23 +73,19 @@ class OnlinePebbler:
         The pebbling problem (any model).
     eviction:
         Tie-breaking policy inside an eviction cost tier.
-    next_use_fn:
-        Optional exact next-use oracle ``f(node) -> position | None`` used
-        by Belady-style policies (supplied by :func:`fixed_order_schedule`).
     """
 
     def __init__(
         self,
         instance: PebblingInstance,
         eviction: Optional[EvictionPolicy] = None,
-        next_use_fn: Optional[Callable[[Node], Optional[int]]] = None,
     ):
         self.instance = instance
         self.dag: ComputationDAG = instance.dag
         self.model: Model = instance.model
+        self._nodel = instance.model is Model.NODEL
         self.red_limit = instance.red_limit
         self.eviction = eviction if eviction is not None else MinRemainingUses()
-        self._next_use_fn = next_use_fn
 
         layout = bit_layout(instance.dag)
         self._layout: BitLayout = layout
@@ -88,12 +94,17 @@ class OnlinePebbler:
         self._red = 0
         self._blue = 0
         self._computed = 0
-        # remaining uncomputed consumers, indexed by bit
-        self._remaining: List[int] = [
-            layout.succ_masks[i].bit_count() for i in range(layout.n)
-        ]
-        self.last_used: Dict[Node, int] = {}
-        self.step = 0
+        # per bit: uncomputed consumers, and the move count at the last
+        # read or compute (-1: never)
+        self._remaining: List[int] = [succ.bit_count() for succ in layout.succ_masks]
+        self._last_used: List[int] = [-1] * layout.n
+        # the eviction tiers' masks: values no consumer needs any more,
+        # and values re-creatable without a Load
+        self._dead = layout.sink_mask
+        self._free = layout.source_mask if instance.costs.recompute_allowed else 0
+        # per bit, its consumers' positions in a fixed order, ascending
+        # (set by fixed_order_schedule; None when the order is online)
+        self._uses: Optional[List[List[int]]] = None
 
     # ------------------------------------------------------------------ #
     # cloning (used by beam search)
@@ -103,20 +114,10 @@ class OnlinePebbler:
         """An independent copy sharing the immutable instance/DAG but with
         its own mutable board and move log."""
         twin = OnlinePebbler.__new__(OnlinePebbler)
-        twin.instance = self.instance
-        twin.dag = self.dag
-        twin.model = self.model
-        twin.red_limit = self.red_limit
-        twin.eviction = self.eviction
-        twin._next_use_fn = self._next_use_fn
-        twin._layout = self._layout
+        twin.__dict__.update(self.__dict__)
         twin.moves = list(self.moves)
-        twin._red = self._red
-        twin._blue = self._blue
-        twin._computed = self._computed
         twin._remaining = list(self._remaining)
-        twin.last_used = dict(self.last_used)
-        twin.step = self.step
+        twin._last_used = list(self._last_used)
         return twin
 
     # ------------------------------------------------------------------ #
@@ -178,130 +179,80 @@ class OnlinePebbler:
     # internals
     # ------------------------------------------------------------------ #
 
-    def _emit(self, move: Move) -> None:
-        self.moves.append(move)
-        self.step += 1
-
-    def _recomputable_free(self, bit_index: int) -> bool:
-        """Can the node be re-created later without a Load?  Only sources,
-        and only in models that allow recomputation (free or epsilon)."""
-        return (
-            self.instance.costs.recompute_allowed
-            and self._layout.parent_masks[bit_index] == 0
-        )
-
-    def _next_use(self, v: Node) -> Optional[int]:
-        i = self._layout.index[v]
-        if self._remaining[i] <= 0:
-            return None
-        if self._next_use_fn is not None:
-            return self._next_use_fn(v)
-        # online estimate: earliest (topological) uncomputed consumer;
-        # bit index == topological position, so that is the lowest set bit
+    def _next_use(self, i: int) -> float:
+        """Position of bit ``i``'s next use, infinite when it has none: in
+        the fixed order when one is set, else the earliest uncomputed
+        consumer (bit index == topological position: its lowest bit)."""
+        left = self._remaining[i]
+        if not left:
+            return math.inf
+        if self._uses is not None:
+            # a fixed order computes i's consumers by position, so the
+            # uncomputed ones are the last `left`
+            return self._uses[i][-left]
         pending = self._layout.succ_masks[i] & ~self._computed
-        if not pending:
-            return None
         return (pending & -pending).bit_length() - 1
 
-    def _eviction_tier(self, i: int) -> int:
-        """Smaller = cheaper to evict (``i`` is a bit index).
-
-        Tier 0: dead non-sinks (Delete, free) and — when recomputation is
-        allowed — live sources (Delete now, recompute later at <= epsilon).
-        Tier 1: values needing exactly one transfer (dead sinks; everything
-        in nodel where even dead values must be stored; live sources in
-        nodel).  Tier 2: live values that will need a Store now and a Load
-        later.
-        """
-        dead = self._remaining[i] <= 0
-        is_sink = self._layout.succ_masks[i] == 0
-        if self.model is Model.NODEL:
-            # every eviction is a Store; live non-sources also pay a Load later
-            if dead or self._recomputable_free(i):
-                return 1
-            return 2
-        if dead:
-            return 1 if is_sink else 0
-        if self._recomputable_free(i) and not is_sink:
-            return 0
-        return 2
-
     def _evict_one(self, pinned_mask: int) -> None:
-        candidate_mask = self._red & ~pinned_mask
-        if not candidate_mask:
+        candidates = self._red & ~pinned_mask
+        if not candidates:
             raise PebblerError(
                 f"cannot free a red slot: all {self._red.bit_count()} red pebbles "
                 f"are pinned (R={self.red_limit} too small for this step?)"
             )
-        tiers: Dict[int, List[int]] = {}
-        for i in iter_bits(candidate_mask):
-            tiers.setdefault(self._eviction_tier(i), []).append(i)
-        tier = min(tiers)
-        pool = tiers[tier]
-        nodes = self._layout.nodes
-        if len(pool) == 1:
-            victim = nodes[pool[0]]
+        # the cheapest non-empty cost tier (sinks are dead from the start)
+        cheap = candidates & (self._dead | self._free)
+        if self._nodel:
+            pool = cheap or candidates
         else:
-            remaining = self._remaining
-            index = self._layout.index
-            ctx = EvictionContext(
-                remaining_uses=lambda v: remaining[index[v]],
-                next_use=self._next_use,
-                last_used=lambda v: self.last_used.get(v, -1),
-                step=self.step,
-            )
-            victim = self.eviction.choose_victim([nodes[i] for i in pool], ctx)
+            sinks = self._layout.sink_mask
+            pool = cheap & ~sinks or candidates & sinks or candidates
+        if pool & (pool - 1):
+            victim = self.eviction.choose(list(iter_bits(pool)), self)
+        else:
+            victim = pool.bit_length() - 1
         self._dispose(victim)
 
-    def _dispose(self, victim: Node) -> None:
-        """Remove the red pebble from ``victim`` in the cheapest legal way."""
-        i = self._layout.index[victim]
+    def _dispose(self, i: int) -> None:
+        """Remove the red pebble from bit ``i`` in the cheapest legal way:
+        outside nodel, Delete a dead or free-recomputable non-sink (the
+        cheapest tier); Store anything else."""
         bit = 1 << i
-        dead = self._remaining[i] <= 0
-        is_sink = self._layout.succ_masks[i] == 0
-        keep_value = (not dead) or is_sink
+        node = self._layout.nodes[i]
         self._red &= ~bit
-        if self.model is Model.NODEL:
-            self._emit(Store(victim))
-            self._blue |= bit
-        elif keep_value and (is_sink or not self._recomputable_free(i)):
+        if not self._nodel and bit & (self._dead | self._free) & ~self._layout.sink_mask:
+            self.moves.append(Delete(node))
+        else:
             # sinks keep their pebble unconditionally: even a recomputable
             # source sink would otherwise end the pebbling unpebbled
-            self._emit(Store(victim))
+            self.moves.append(Store(node))
             self._blue |= bit
-        else:
-            self._emit(Delete(victim))
 
     def _ensure_slot(self, pinned_mask: int) -> None:
         while self._red.bit_count() >= self.red_limit:
             self._evict_one(pinned_mask)
 
-    def _acquire_input(self, p: Node, pinned_mask: int) -> None:
-        """Make input ``p`` red.  ``p`` has been computed before."""
-        i = self._layout.index[p]
+    def _acquire_input(self, i: int, pinned_mask: int) -> None:
+        """Make input bit ``i`` red.  Its node has been computed before."""
         bit = 1 << i
         if self._red & bit:
             return
         self._ensure_slot(pinned_mask)
+        p = self._layout.nodes[i]
         if self._blue & bit:
             # recomputing beats loading only for free-recomputable sources
-            if self._recomputable_free(i):
-                self._emit(Compute(p))
-            else:
-                self._emit(Load(p))
+            self.moves.append(Compute(p) if self._free & bit else Load(p))
             self._blue &= ~bit
-            self._red |= bit
-            return
-        # no pebble anywhere: only legal if p is recomputable from nothing
-        if self._recomputable_free(i):
-            self._emit(Compute(p))
-            self._red |= bit
-            return
-        raise PebblerError(
-            f"input {p!r} has no pebble and cannot be recomputed "
-            f"(model={self.model.value}); the pebbler should never discard "
-            f"live non-recomputable values — this is a driver bug"
-        )
+        elif self._free & bit:
+            # no pebble anywhere: only legal if p is recomputable from nothing
+            self.moves.append(Compute(p))
+        else:
+            raise PebblerError(
+                f"input {p!r} has no pebble and cannot be recomputed "
+                f"(model={self.model.value}); the pebbler should never discard "
+                f"live non-recomputable values — this is an internal bug"
+            )
+        self._red |= bit
 
     # ------------------------------------------------------------------ #
     # driving
@@ -329,19 +280,25 @@ class OnlinePebbler:
                 f"{v!r} needs {pinned_mask.bit_count()} red pebbles "
                 f"but R={self.red_limit}"
             )
-        preds = [layout.nodes[i] for i in iter_bits(parent_mask)]
-        for p in sorted(preds, key=repr):
-            self._acquire_input(p, pinned_mask)
-            self.last_used[p] = self.step
+        moves = self.moves
+        last_used = self._last_used
+        parents = list(iter_bits(parent_mask))
+        if len(parents) > 1:  # acquired in the inputs' repr order
+            parents.sort(key=layout.repr_rank.__getitem__)
+        for i in parents:
+            self._acquire_input(i, pinned_mask)
+            last_used[i] = len(moves)
         self._ensure_slot(pinned_mask)
-        self._emit(Compute(v))
+        moves.append(Compute(v))
         self._blue &= ~vbit
         self._red |= vbit
         self._computed |= vbit
-        self.last_used[v] = self.step
+        last_used[vi] = len(moves)
         remaining = self._remaining
-        for i in iter_bits(parent_mask):
+        for i in parents:
             remaining[i] -= 1
+            if not remaining[i]:
+                self._dead |= 1 << i
 
     def run_order(self, order: Sequence[Node]) -> Schedule:
         """Compute every node of ``order`` in sequence and return the moves."""
@@ -373,27 +330,15 @@ def fixed_order_schedule(
     if missing:
         raise ValueError(f"order misses nodes: {missing[:4]!r}")
 
-    # consumers of v, by their position in the order
-    use_positions: Dict[Node, List[int]] = {
-        v: sorted(position[w] for w in dag.successors(v)) for v in dag
-    }
-    cursor: Dict[Node, int] = {v: 0 for v in dag}
-    clock = {"now": -1}
-
-    def next_use(v: Node) -> Optional[int]:
-        uses = use_positions[v]
-        i = cursor[v]
-        while i < len(uses) and uses[i] <= clock["now"]:
-            i += 1
-        cursor[v] = i
-        return uses[i] if i < len(uses) else None
-
     pebbler = OnlinePebbler(
         instance,
         eviction=eviction if eviction is not None else FurthestNextUse(),
-        next_use_fn=next_use,
     )
-    for i, v in enumerate(order):
-        clock["now"] = i
+    nodes = pebbler._layout.nodes
+    pebbler._uses = [
+        sorted(position[nodes[j]] for j in iter_bits(succ))
+        for succ in pebbler._layout.succ_masks
+    ]
+    for v in order:
         pebbler.compute_next(v)
     return pebbler.schedule()

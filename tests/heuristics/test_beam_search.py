@@ -5,11 +5,12 @@ import pytest
 from repro import PebblingInstance, validate_schedule
 from repro.generators import (
     chain_dag,
+    dag_from_spec,
     grid_stencil_dag,
     layered_random_dag,
     pyramid_dag,
 )
-from repro.heuristics import beam_search_pebble
+from repro.heuristics import LeastRecentlyUsed, OnlinePebbler, beam_search_pebble
 from repro.reductions import greedy_grid_construction
 from repro.solvers import solve_optimal
 
@@ -87,11 +88,16 @@ class TestBeamSearch:
         res = beam_search_pebble(make(pyramid_dag(2), 3), beam_width=2)
         assert res.expanded >= pyramid_dag(2).n_nodes
 
+    def test_duplicate_boards_keep_one_slot(self):
+        """A board reached twice keeps one slot, the cheaper history's.
+        When an earlier, costlier copy kept its slot too, this cell cost
+        31 at width 4 (the optimum is 21)."""
+        inst = make(dag_from_spec("matmul:2"), 4, "nodel")
+        assert beam_search_pebble(inst, beam_width=4).cost == 26
+
 
 class TestCloning:
     def test_clone_is_independent(self):
-        from repro.heuristics import OnlinePebbler
-
         inst = make(chain_dag(4), 2)
         a = OnlinePebbler(inst)
         a.compute_next(0)
@@ -99,3 +105,18 @@ class TestCloning:
         b.compute_next(1)
         assert 1 in b.computed and 1 not in a.computed
         assert len(b.moves) == len(a.moves) + 1
+
+    def test_clone_running_ahead_leaves_the_original_alone(self):
+        """The per-bit lists and the tier masks are each copy's own: after
+        a clone runs ahead under LRU, the clone and then the original
+        continue exactly as a pebbler that was never cloned."""
+        dag = pyramid_dag(4)
+        inst = make(dag, 4)
+        order = dag.topological_order()
+        half = len(order) // 2
+        original = OnlinePebbler(inst, eviction=LeastRecentlyUsed())
+        for v in order[:half]:
+            original.compute_next(v)
+        never_cloned = OnlinePebbler(inst, eviction=LeastRecentlyUsed()).run_order(order)
+        assert original.clone().run_order(order[half:]) == never_cloned
+        assert original.run_order(order[half:]) == never_cloned

@@ -24,6 +24,7 @@ Ties on a policy's key go to the larger ``repr`` (the layout's
 
 from __future__ import annotations
 
+import copy
 import random
 from typing import TYPE_CHECKING, List
 
@@ -47,6 +48,11 @@ class EvictionPolicy:
     def choose(self, pool: List[int], pebbler: "OnlinePebbler") -> int:
         """The bit to evict from ``pool`` (ascending, at least two bits)."""
         raise NotImplementedError  # pragma: no cover - abstract
+
+    def fork(self) -> "EvictionPolicy":
+        """The policy a cloned pebbler goes on with: ``self`` when the
+        policy keeps no state, else an independent copy of it."""
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}()"
@@ -97,6 +103,11 @@ class RandomEviction(EvictionPolicy):
 
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
+
+    def fork(self) -> "RandomEviction":
+        """A copy that continues this stream on its own, so each beam
+        branch draws as a fresh replay of its own order would."""
+        return copy.deepcopy(self)
 
     def choose(self, pool: List[int], pebbler: "OnlinePebbler") -> int:
         ordered = sorted(pool, key=pebbler._layout.repr_rank.__getitem__)

@@ -42,7 +42,7 @@ it cannot recompute, and completed sinks always stay pebbled.
 from __future__ import annotations
 
 import math
-from typing import FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from ..core.bitstate import BitLayout, bit_layout, iter_bits
 from ..core.dag import ComputationDAG, Node
@@ -102,8 +102,11 @@ class OnlinePebbler:
         # and values re-creatable without a Load
         self._dead = layout.sink_mask
         self._free = layout.source_mask if instance.costs.recompute_allowed else 0
-        # per bit, its consumers' positions in a fixed order, ascending
-        # (set by fixed_order_schedule; None when the order is online)
+        # a fixed order's position of each node (set by
+        # fixed_order_schedule; None when the order is online), and per
+        # bit its consumers' positions in that order, ascending (built on
+        # the first _next_use, which only FurthestNextUse calls)
+        self._position: Optional[Dict[Node, int]] = None
         self._uses: Optional[List[List[int]]] = None
 
     # ------------------------------------------------------------------ #
@@ -112,9 +115,10 @@ class OnlinePebbler:
 
     def clone(self) -> "OnlinePebbler":
         """An independent copy sharing the immutable instance/DAG but with
-        its own mutable board and move log."""
+        its own mutable board, move log and eviction state."""
         twin = OnlinePebbler.__new__(OnlinePebbler)
         twin.__dict__.update(self.__dict__)
+        twin.eviction = self.eviction.fork()
         twin.moves = list(self.moves)
         twin._remaining = list(self._remaining)
         twin._last_used = list(self._last_used)
@@ -186,7 +190,14 @@ class OnlinePebbler:
         left = self._remaining[i]
         if not left:
             return math.inf
-        if self._uses is not None:
+        position = self._position
+        if position is not None:
+            if self._uses is None:
+                nodes = self._layout.nodes
+                self._uses = [
+                    sorted(position[nodes[j]] for j in iter_bits(succ))
+                    for succ in self._layout.succ_masks
+                ]
             # a fixed order computes i's consumers by position, so the
             # uncomputed ones are the last `left`
             return self._uses[i][-left]
@@ -334,11 +345,7 @@ def fixed_order_schedule(
         instance,
         eviction=eviction if eviction is not None else FurthestNextUse(),
     )
-    nodes = pebbler._layout.nodes
-    pebbler._uses = [
-        sorted(position[nodes[j]] for j in iter_bits(succ))
-        for succ in pebbler._layout.succ_masks
-    ]
+    pebbler._position = position
     for v in order:
         pebbler.compute_next(v)
     return pebbler.schedule()

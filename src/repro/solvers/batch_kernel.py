@@ -18,8 +18,9 @@ stage as vectorized bitwise operations:
   of a batch come from ``(B, n)`` broadcasts of the blue/candidate masks
   against precomputed per-node bit masks, with ``parents ⊆ red`` one
   AND-compare per (state, node) pair;
-* **delete-normalized successors**: the fused ``Delete(x); move``
-  alphabet of the kernel docstring, vectorized over the batch for each
+* **delete- and store-normalized successors**: the alphabet of the
+  kernel docstring, with stores only from full rows and the fused
+  ``Delete(x); move`` successors vectorized over the batch for each
   deleted bit ``x`` — the state graph searched is identical to the
   python kernel's, which is what makes differential testing meaningful;
 * **the same bound**: the kernel's default admissible bound, evaluated
@@ -37,8 +38,9 @@ widths run the same vectorized path.
 
 The pure-python kernel stays authoritative: ``engine="bits"`` remains
 the default of :func:`repro.solvers.exact.solve_optimal`, and the
-differential harness (``tests/solvers/test_engine_differential.py``)
-plus the golden-optima zoo pin this engine to it on every run.
+differential harness (``tests/solvers/test_engine_differential.py``),
+the golden-optima zoo and the edge-by-edge check of
+``tests/solvers/test_alphabet.py`` pin this engine to it on every run.
 """
 
 from __future__ import annotations
@@ -272,11 +274,14 @@ def _expand_batch(
     blue: "np.ndarray",
     computed: "np.ndarray",
 ) -> Tuple["np.ndarray", ...]:
-    """All delete-normalized successors of a batch, as flat arrays.
+    """All delete- and store-normalized successors of a batch, as flat
+    arrays.
 
     Returns ``(parent_idx, nred, nblue, ncomputed, cost, code)`` where
     ``parent_idx`` indexes into the input batch.  The edge alphabet is
-    exactly :meth:`Expander.successors`, vectorized.
+    exactly :meth:`Expander.successors`, vectorized: loads and computes
+    from rows below capacity; stores and, in delete-allowed models, the
+    fused deletes from full rows.
     """
     ex = ctx.ex
     n = ctx.n
@@ -317,12 +322,12 @@ def _expand_batch(
         emit(free[si], rf[si] | bits[vi], bf[si] & ~bits[vi], cf[si] | bits[vi],
              ex.compute_i, _COMPUTE * n + vi)
 
+    full = np.nonzero(~has_slot)[0]
+    rF, bF, cF = red[full], blue[full], computed[full]
     if ex.delete_allowed:
         # full board: fused Delete(x); Load/Compute(v) successors
-        full = np.nonzero(~has_slot)[0]
         if len(full):
             fused = 4 * n
-            rF, bF, cF = red[full], blue[full], computed[full]
             candF = candidates[full]
             for x in range(n):
                 xbit = bits[x]
@@ -343,9 +348,9 @@ def _expand_batch(
                      bh[si] & ~bits[vi], ch[si] | bits[vi],
                      ex.delete_i + ex.compute_i, base + _COMPUTE * n + vi)
 
-    # stores: any red bit, at or below capacity alike
-    si, vi = np.nonzero((red[:, None] & bits[None, :]) != 0)
-    emit(si, red[si] ^ bits[vi], blue[si] | bits[vi], computed[si],
+    # full board: stores of any red bit
+    si, vi = np.nonzero((rF[:, None] & bits[None, :]) != 0)
+    emit(full[si], rF[si] ^ bits[vi], bF[si] | bits[vi], cF[si],
          ex.store_i, _STORE * n + vi)
 
     if not parts:

@@ -20,9 +20,9 @@ Two engines implement the same contract:
 
 * ``engine="bits"`` (default): the shared bitmask kernel of
   :mod:`repro.solvers.kernel` — one packed int per state, integer costs,
-  delete-normalized successors and the one best-first driver every
-  packed-key game shares.  This is what raised the feasible instance
-  sizes; see ``tests/benchmarks/test_perf.py``.
+  delete- and store-normalized successors and the one best-first loop
+  every packed-key game shares.  This is what raised the feasible
+  instance sizes; see ``tests/benchmarks/test_perf.py``.
 * ``engine="numpy"``: the batched frontier engine of
   :mod:`repro.solvers.batch_kernel` over the same edge alphabet, for
   DAGs of up to 64 nodes.
@@ -35,6 +35,10 @@ Safe prunes applied (all cost-preserving, see the test-suite):
 
 * blue pebbles are never deleted (a blue pebble occupies no red slot and
   never blocks a move, so removing it can only destroy options);
+* Stores are made only from a full board, and Deletes only there, fused
+  with the Load/Compute that takes the freed slot (the store and delete
+  normal forms of :mod:`repro.solvers.kernel`: every schedule can be
+  rewritten into them without raising its cost);
 * zero-cost moves are explored first through the priority queue ordering,
   which keeps the frontier small on gadget DAGs.
 

@@ -21,7 +21,17 @@ encoding:
   it; trailing deletes drop).  The kernel therefore searches over this
   normal form: standalone Delete edges disappear and full boards expand
   *fused* ``Delete(x); Load/Compute(v)`` successors instead, which
-  shrinks the state graph.
+  shrinks the state graph;
+* *store normalization*, by the same exchange argument: a Store(v) made
+  below capacity moves right, v staying red, past the later moves until
+  the board is full, where it stays; or it cancels against the Load of
+  v (v simply stays red) or a recompute of v (both drop); or it is
+  dropped at the end, where a red pebble finishes a sink as well as a
+  blue one.  A later Delete of v's blue pebble is dropped first, as the
+  solver never deletes blue.  The moves a Store passes were made below
+  capacity, so each stays legal and the deletes stay at full boards;
+  no step raises the cost.  The kernel therefore yields Store edges only
+  from a full board (R red pebbles), which shrinks the state graph again.
 
 **One best-first loop.**  :func:`best_first` is the A* driver of every
 game searched over packed int keys.  It owns the heap of ``(f, -g,
@@ -147,11 +157,12 @@ class Expander:
     def successors(self, key: int) -> Iterator[Tuple[int, int, int]]:
         """Yield ``(nkey, cost_i, move_code)`` per edge out of ``key``.
 
-        Edges follow the delete-normalized move alphabet (see the module
-        docstring): plain Load/Store/Compute moves below capacity, plus —
-        at capacity, in delete-allowed models — fused ``Delete(x); move``
-        successors.  ``move_code`` is ``kind * n + bit_index`` for a plain
-        move and ``4n * (x + 1) + plain_code`` for a fused one (see
+        Edges follow the delete- and store-normalized move alphabet (see
+        the module docstring): plain Load/Compute moves below capacity;
+        at capacity, one Store per red pebble plus, in delete-allowed
+        models, fused ``Delete(x); Load/Compute(v)`` successors.
+        ``move_code`` is ``kind * n + bit_index`` for a plain move and
+        ``4n * (x + 1) + plain_code`` for a fused one (see
         :meth:`decode_moves`).
         """
         n = self.n
@@ -168,7 +179,7 @@ class Expander:
             candidates = full & ~key
 
         # Load(v): v turns blue -> red; Compute(v): v turns red and
-        # computed, losing any blue pebble; Store(v): v turns red -> blue
+        # computed, losing any blue pebble
         if has_slot:
             m = (key >> n) & full
             while m:
@@ -190,7 +201,8 @@ class Expander:
                         compute_i,
                         _COMPUTE * n + i,
                     )
-        elif self.delete_allowed:
+            return
+        if self.delete_allowed:
             # full board: fused Delete(x); Load/Compute(v) successors
             fused = 4 * n
             del_load_i = self.delete_i + load_i
@@ -225,6 +237,7 @@ class Expander:
                             base + _COMPUTE * n + i,
                         )
 
+        # full board: Store(v), v turns red -> blue
         store_i = self.store_i
         m = red
         while m:

@@ -146,7 +146,7 @@ def test_bitmask_kernel_speedup_over_legacy(benchmark, pyramid_instance):
 
 @pytest.fixture(scope="module")
 def large_pyramid_instance():
-    # pyramid:4 / oneshot / R4: 218,790 uniform-cost expansions for the
+    # pyramid:4 / oneshot / R4: 154,836 uniform-cost expansions for the
     # scalar kernel, big equal-f buckets for the Dial queue -> wide batches.
     return PebblingInstance(dag=pyramid_dag(4), model="oneshot", red_limit=4)
 

@@ -68,15 +68,22 @@ def _functions(root, rel, *names):
             if isinstance(n, ast.FunctionDef) and n.name in names]
 
 
+def _literal(node):
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
 def _dict_literal(root, rel, name):
-    """The module-level dict literal bound to ``name``: constants only."""
+    """The module-level dict literal bound to ``name``: literal values, and
+    None for any other value."""
     for node in _tree(root, rel).body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             if any(getattr(t, "id", None) == name for t in targets):
                 return {
-                    ast.literal_eval(k):
-                        v.value if isinstance(v, ast.Constant) else None
+                    ast.literal_eval(k): _literal(v)
                     for k, v in zip(node.value.keys, node.value.values)
                 }
     raise LookupError(f"no dict literal {name} in {rel}")
@@ -147,6 +154,18 @@ def check_service_statuses(root):
     assert {int(c) for c in _first_column(root, "api.md", "HTTP")} == errors
 
 
+def check_expansion_totals(root):
+    # the bound paragraph quotes "from <BITS_WORK> to <AUTO_WORK> expansions"
+    text = (root / "docs" / "architecture.md").read_text(encoding="utf-8")
+    quoted = re.findall(r"from ([\d,]+) to ([\d,]+)\s+expansions", text)
+    golden = "tests/solvers/test_golden_optima.py"
+    pinned = tuple(
+        f"{sum(e for e, _ in _dict_literal(root, golden, name).values()):,}"
+        for name in ("BITS_WORK", "AUTO_WORK")
+    )
+    assert quoted == [pinned]
+
+
 def test_catalogues_are_read_as_the_modules_define_them():
     # the checks parse these dicts from source; a dict built at import
     # time would hide keys from them, so pin the parse to the runtime
@@ -165,6 +184,10 @@ def test_spec_kinds_and_methods_match_the_grammar_page():
 
 def test_service_statuses_match_phrases_and_the_api_error_table():
     check_service_statuses(REPO)
+
+
+def test_architecture_quotes_the_pinned_expansion_totals():
+    check_expansion_totals(REPO)
 
 
 #: name -> (check, [(file, pattern, replacement), ...]): one drift each
@@ -239,6 +262,13 @@ DRIFTS = {
     ]),
     "error-row-deleted": (check_service_statuses, [
         ("docs/api.md", r"^\| 411 .*\n", ""),
+    ]),
+    "expansion-pin-moved": (check_expansion_totals, [
+        ("tests/solvers/test_golden_optima.py",
+         r'^(    \("pyramid:2", "base", 3\): \()(\d+)', r"\g<1>1\2"),
+    ]),
+    "expansion-total-stale": (check_expansion_totals, [
+        ("docs/architecture.md", r"from ([\d,]+) to", "from 37,242 to"),
     ]),
 }
 

@@ -16,7 +16,7 @@ from repro.experiments import Runner, all_specs, checks_for, get_spec, run_spec_
 
 # every checked spec but hardness-smoke, run inline; each takes about a
 # second or less per grid (beam-ablation's exact grid:4x4 cell is the
-# slowest, at about 1.2 s under the default A* bound)
+# slowest, at about 0.6 s under the default A* bound)
 FAST_CHECKED_SPECS = [
     "smoke",
     "sec3-bounds",

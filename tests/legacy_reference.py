@@ -12,8 +12,8 @@ use them; tests compare against them:
   multi-level equivalence check are re-certified by
   :func:`solve_optimal_legacy`;
 * ``tests/solvers/test_engine_differential.py`` locks the ``bits``
-  engine to it on random DAGs, outside the delete-normalized move
-  alphabet the engines share;
+  engine to it on random DAGs, outside the delete- and store-normalized
+  move alphabet the engines share;
 * ``tests/core/test_bitstate_differential.py`` checks
   :func:`repro.core.bitstate.apply_move_bits` against :func:`apply_move`
   move by move;

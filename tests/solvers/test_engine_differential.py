@@ -20,6 +20,7 @@ hardness-gadget zoo.  A future engine gets the whole battery by adding
 its ``engine=`` string to ``ENGINES``.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -176,9 +177,23 @@ class TestEngineDifferential:
             solve_optimal(inst, budget=10, engine=engine, heuristic=heuristic)
 
 
+def every_dag(max_nodes, max_indegree=3):
+    """Every DAG on 1..max_nodes nodes numbered in a topological order
+    (edges i -> j with i < j), with no indegree above ``max_indegree``."""
+    for n in range(1, max_nodes + 1):
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        for chosen in range(1 << len(pairs)):
+            edges = [p for b, p in enumerate(pairs) if chosen >> b & 1]
+            indegree = Counter(j for _, j in edges)
+            if max(indegree.values(), default=0) <= max_indegree:
+                yield ComputationDAG(edges=edges, nodes=range(n))
+
+
 class TestBitsAgainstReference:
-    """The reference engine itself, outside the delete-normalized move
-    alphabet every engine shares."""
+    """The reference engine itself, outside the delete- and
+    store-normalized move alphabet every engine shares: it tries every
+    Store and Delete at every board, where the engines store and delete
+    only from a full one."""
 
     @settings(**DIFF_SETTINGS)
     @given(inst=instances())
@@ -188,6 +203,22 @@ class TestBitsAgainstReference:
     @pytest.mark.parametrize("spec,model,red_limit", GADGETS, ids=GADGET_IDS)
     def test_gadget_zoo(self, spec, model, red_limit):
         assert_bits_matches_reference(_gadget_instance(spec, model, red_limit))
+
+    @pytest.mark.parametrize("extra", [1, 2], ids=["R=D+1", "R=D+2"])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_every_dag_up_to_four_nodes(self, model, extra):
+        """75 DAGs here, 600 instances over the 8 ids: ``bits`` under its
+        bound and without, and ``numpy``, each against the reference."""
+        for dag in every_dag(4):
+            inst = PebblingInstance(
+                dag=dag, model=model, red_limit=dag.max_indegree + extra
+            )
+            reference = solve_optimal_legacy(inst)
+            for engine, heuristic in (("bits", "auto"), ("bits", None),
+                                      ("numpy", "auto")):
+                result = solve_optimal(inst, engine=engine, heuristic=heuristic)
+                assert_agrees(f"{engine}/{heuristic} on {dag.edges()}",
+                              result, reference, inst)
 
 
 def test_engines_list_is_nonempty_and_excludes_reference():

@@ -115,76 +115,75 @@ GOLDEN = [
 
 #: (expanded, generated) of the uniform-cost ``bits`` search
 #: (``heuristic=None``) on each GOLDEN cell, recorded from ``astar_bits``
-#: with dominance pruning switched off just before that pruning was
-#: deleted (totals: 37,242 expanded, 53,623 generated).  Any change in
-#: successor order, tie-breaking or pruning moves these counts, so update
-#: them only with a reason for the change.
+#: (totals: 22,706 expanded, 32,344 generated).  Any change in successor
+#: order, tie-breaking or pruning moves these counts, so update them only
+#: with a reason for the change.
 BITS_WORK = {
-    ("pyramid:2", "base", 3): (211, 283),
-    ("pyramid:2", "oneshot", 3): (156, 235),
-    ("pyramid:2", "nodel", 3): (99, 104),
-    ("pyramid:2", "compcost", 3): (211, 283),
-    ("pyramid:2", "base", 4): (17, 65),
-    ("pyramid:2", "oneshot", 4): (16, 60),
-    ("pyramid:2", "nodel", 4): (77, 101),
-    ("pyramid:2", "compcost", 4): (17, 65),
-    ("pyramid:2", "base", 5): (13, 46),
-    ("pyramid:2", "oneshot", 5): (13, 46),
-    ("pyramid:2", "nodel", 5): (44, 80),
-    ("pyramid:2", "compcost", 5): (13, 46),
-    ("pyramid:3", "oneshot", 3): (8263, 11770),
-    ("pyramid:3", "oneshot", 4): (3025, 6739),
-    ("pyramid:3", "nodel", 4): (1513, 1769),
-    ("tree:4", "oneshot", 3): (587, 859),
-    ("tree:4", "oneshot", 4): (38, 159),
-    ("chain:8", "nodel", 2): (59, 89),
-    ("chain:8", "nodel", 3): (108, 183),
-    ("chain:8", "oneshot", 2): (8, 21),
-    ("grid:3x3", "oneshot", 3): (2706, 4217),
-    ("h2c:4", "base", 4): (2904, 3352),
-    ("h2c:4", "oneshot", 4): (1898, 2758),
-    ("h2c:4", "nodel", 4): (418, 461),
-    ("h2c:4", "compcost", 4): (2904, 3352),
-    ("h2c:4", "oneshot", 5): (467, 949),
-    ("tradeoff:2x6", "oneshot", 4): (8519, 10708),
-    ("tradeoff:2x6", "oneshot", 5): (2908, 4683),
-    ("tradeoff:2x6", "oneshot", 6): (30, 140),
+    ("pyramid:2", "base", 3): (145, 171),
+    ("pyramid:2", "oneshot", 3): (105, 151),
+    ("pyramid:2", "nodel", 3): (59, 64),
+    ("pyramid:2", "compcost", 3): (145, 171),
+    ("pyramid:2", "base", 4): (17, 47),
+    ("pyramid:2", "oneshot", 4): (16, 42),
+    ("pyramid:2", "nodel", 4): (35, 38),
+    ("pyramid:2", "compcost", 4): (17, 47),
+    ("pyramid:2", "base", 5): (13, 20),
+    ("pyramid:2", "oneshot", 5): (13, 20),
+    ("pyramid:2", "nodel", 5): (18, 20),
+    ("pyramid:2", "compcost", 5): (13, 20),
+    ("pyramid:3", "oneshot", 3): (6000, 8651),
+    ("pyramid:3", "oneshot", 4): (2217, 4362),
+    ("pyramid:3", "nodel", 4): (973, 1224),
+    ("tree:4", "oneshot", 3): (421, 567),
+    ("tree:4", "oneshot", 4): (38, 125),
+    ("chain:8", "nodel", 2): (53, 82),
+    ("chain:8", "nodel", 3): (83, 150),
+    ("chain:8", "oneshot", 2): (8, 20),
+    ("grid:3x3", "oneshot", 3): (2033, 3068),
+    ("h2c:4", "base", 4): (1393, 1499),
+    ("h2c:4", "oneshot", 4): (1088, 1374),
+    ("h2c:4", "nodel", 4): (233, 276),
+    ("h2c:4", "compcost", 4): (1393, 1499),
+    ("h2c:4", "oneshot", 5): (249, 411),
+    ("tradeoff:2x6", "oneshot", 4): (4650, 6066),
+    ("tradeoff:2x6", "oneshot", 5): (1248, 2067),
+    ("tradeoff:2x6", "oneshot", 6): (30, 92),
 }
 
 #: (expanded, generated) of the default ``bits`` search (A* under the
 #: cost model's bound, equal-f ties to the larger g) on each GOLDEN cell
-#: (totals: 10,271 expanded, 14,796 generated).  Base and nodel have no
+#: (totals: 6,201 expanded, 8,618 generated).  Base and nodel have no
 #: bound, so their cells equal ``BITS_WORK``.  Pinned like ``BITS_WORK``.
 AUTO_WORK = {
-    ("pyramid:2", "base", 3): (211, 283),
-    ("pyramid:2", "oneshot", 3): (47, 87),
-    ("pyramid:2", "nodel", 3): (99, 104),
-    ("pyramid:2", "compcost", 3): (117, 228),
-    ("pyramid:2", "base", 4): (17, 65),
-    ("pyramid:2", "oneshot", 4): (14, 50),
-    ("pyramid:2", "nodel", 4): (77, 101),
-    ("pyramid:2", "compcost", 4): (6, 30),
-    ("pyramid:2", "base", 5): (13, 46),
-    ("pyramid:2", "oneshot", 5): (13, 46),
-    ("pyramid:2", "nodel", 5): (44, 80),
-    ("pyramid:2", "compcost", 5): (6, 28),
-    ("pyramid:3", "oneshot", 3): (611, 1199),
-    ("pyramid:3", "oneshot", 4): (223, 642),
-    ("pyramid:3", "nodel", 4): (1513, 1769),
-    ("tree:4", "oneshot", 3): (138, 266),
-    ("tree:4", "oneshot", 4): (28, 109),
-    ("chain:8", "nodel", 2): (59, 89),
-    ("chain:8", "nodel", 3): (108, 183),
-    ("chain:8", "oneshot", 2): (8, 21),
-    ("grid:3x3", "oneshot", 3): (231, 558),
-    ("h2c:4", "base", 4): (2904, 3352),
-    ("h2c:4", "oneshot", 4): (153, 288),
-    ("h2c:4", "nodel", 4): (418, 461),
-    ("h2c:4", "compcost", 4): (2190, 2993),
-    ("h2c:4", "oneshot", 5): (78, 216),
-    ("tradeoff:2x6", "oneshot", 4): (614, 840),
-    ("tradeoff:2x6", "oneshot", 5): (307, 564),
-    ("tradeoff:2x6", "oneshot", 6): (24, 98),
+    ("pyramid:2", "base", 3): (145, 171),
+    ("pyramid:2", "oneshot", 3): (38, 60),
+    ("pyramid:2", "nodel", 3): (59, 64),
+    ("pyramid:2", "compcost", 3): (102, 160),
+    ("pyramid:2", "base", 4): (17, 47),
+    ("pyramid:2", "oneshot", 4): (14, 32),
+    ("pyramid:2", "nodel", 4): (35, 38),
+    ("pyramid:2", "compcost", 4): (6, 24),
+    ("pyramid:2", "base", 5): (13, 20),
+    ("pyramid:2", "oneshot", 5): (13, 20),
+    ("pyramid:2", "nodel", 5): (18, 20),
+    ("pyramid:2", "compcost", 5): (6, 18),
+    ("pyramid:3", "oneshot", 3): (538, 946),
+    ("pyramid:3", "oneshot", 4): (186, 458),
+    ("pyramid:3", "nodel", 4): (973, 1224),
+    ("tree:4", "oneshot", 3): (120, 186),
+    ("tree:4", "oneshot", 4): (28, 75),
+    ("chain:8", "nodel", 2): (53, 82),
+    ("chain:8", "nodel", 3): (83, 150),
+    ("chain:8", "oneshot", 2): (8, 20),
+    ("grid:3x3", "oneshot", 3): (224, 447),
+    ("h2c:4", "base", 4): (1393, 1499),
+    ("h2c:4", "oneshot", 4): (101, 172),
+    ("h2c:4", "nodel", 4): (233, 276),
+    ("h2c:4", "compcost", 4): (1179, 1437),
+    ("h2c:4", "oneshot", 5): (58, 118),
+    ("tradeoff:2x6", "oneshot", 4): (391, 528),
+    ("tradeoff:2x6", "oneshot", 5): (143, 276),
+    ("tradeoff:2x6", "oneshot", 6): (24, 50),
 }
 
 #: larger pinned optima, solved by the batched numpy engine (the scalar
